@@ -15,7 +15,7 @@ try:
     from numba import njit
 
     NUMBA_ENABLED = True
-except ImportError:  # pragma: no cover - sandbox ships numba
+except ImportError:  # numba is optional: the kernels then run as plain Python
     NUMBA_ENABLED = False
 
     def njit(*args, **kwargs):

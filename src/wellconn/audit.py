@@ -3,16 +3,19 @@
 Each non-singleton cluster is classified as well connected, poorly
 connected, or disconnected under a threshold; singletons form their own
 reporting category so the proportions describe real clusters only.
+Clusters are audited independently through `_engine.map_clusters`, serially
+or on a pool of worker processes; the report does not depend on the worker
+count.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
+from ._engine import map_clusters
 from .clustering import (
     Clustering,
     ClusterStats,
@@ -102,42 +105,26 @@ class ConnectivityReport:
 def _audit_one(
     indptr: np.ndarray,
     adj: np.ndarray,
-    cid: int,
     members: np.ndarray,
+    mark: np.ndarray,
     t: ThresholdSpec,
     cap: int | None,
-    mark: np.ndarray,
-) -> ClusterAudit:
+) -> tuple[bool, int | None, str, float, bool]:
+    """The ClusterAudit fields of one cluster that follow its id and size."""
     size = len(members)
     if size == 1:
-        return ClusterAudit(cid, 1, True, None, "singleton", t.value(1), False)
+        return True, None, "singleton", t.value(1), False
     bound = t.value(size)
     si, sa = _kernels.induced_csr(indptr, adj, members, mark)
     comp = _kernels.connected_labels(si, sa)
     if comp.max() > 0:
-        return ClusterAudit(cid, size, False, None, "disconnected", bound, False)
+        return False, None, "disconnected", bound, False
     if cap is not None and size > cap:
-        return ClusterAudit(cid, size, True, None, "skipped", bound, False)
+        return True, None, "skipped", bound, False
     value, _side = _kernels.min_cut_csr(si, sa)
     value = int(value)
     category = "well" if value > bound else "poor"
-    at_boundary = abs(value - bound) < 1e-9
-    return ClusterAudit(cid, size, True, value, category, bound, at_boundary)
-
-
-_AUDIT_CTX: dict = {}
-
-
-def _audit_worker(task: tuple[int, np.ndarray]) -> ClusterAudit:
-    cid, members = task
-    ctx = _AUDIT_CTX
-    mark = ctx.get("mark")
-    if mark is None or len(mark) != ctx["n"]:
-        mark = np.full(ctx["n"], -1, np.int64)
-        ctx["mark"] = mark
-    return _audit_one(
-        ctx["indptr"], ctx["adj"], cid, members, ctx["threshold"], ctx["cap"], mark
-    )
+    return True, value, category, bound, abs(value - bound) < 1e-9
 
 
 def connectivity_audit(
@@ -149,29 +136,11 @@ def connectivity_audit(
     mincut_size_cap: int | None = None,
 ) -> ConnectivityReport:
     """Classify every cluster and aggregate the category proportions."""
-    if c.n != g.n:
-        raise ContractViolation(
-            f"clustering covers {c.n} nodes but graph has {g.n}"
-        )
-    tasks = list(enumerate(c.clusters))
-    if processes > 1 and len(tasks) > 1:
-        _kernels.warmup()
-        _AUDIT_CTX.clear()
-        _AUDIT_CTX.update(
-            indptr=g.indptr, adj=g.adj, n=g.n, threshold=t, cap=mincut_size_cap
-        )
-        order = sorted(tasks, key=lambda kv: -len(kv[1]))
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=processes) as pool:
-            records = list(pool.imap_unordered(_audit_worker, order, chunksize=4))
-        _AUDIT_CTX.clear()
-        records.sort(key=lambda r: r.cluster_id)
-    else:
-        mark = np.full(g.n, -1, np.int64)
-        records = [
-            _audit_one(g.indptr, g.adj, cid, members, t, mincut_size_cap, mark)
-            for cid, members in tasks
-        ]
+    verdicts = map_clusters(g, c, _audit_one, (t, mincut_size_cap), processes)
+    records = [
+        ClusterAudit(cid, len(members), *verdict)
+        for cid, (members, verdict) in enumerate(zip(c.clusters, verdicts))
+    ]
 
     counts = {cat: 0 for cat in CATEGORIES}
     for rec in records:

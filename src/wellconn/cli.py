@@ -21,9 +21,9 @@ import numpy as np
 from . import __version__
 from .audit import connectivity_audit
 from .clustering import (
-    Clustering,
     ThresholdSpec,
     cluster_stats,
+    clustering_from_pairs,
     load_clustering,
     read_membership,
     write_clustering,
@@ -145,7 +145,9 @@ def _cmd_treat(args) -> int:
         clustering.num_clusters,
     )
     if args.mode == "cc":
-        treated, trace = cc_treatment_with_trace(graph, clustering)
+        treated, trace = cc_treatment_with_trace(
+            graph, clustering, processes=args.num_processors
+        )
     elif args.mode == "wcc":
         treated, trace = wcc_treatment(
             graph, clustering, threshold, processes=args.num_processors
@@ -281,20 +283,8 @@ def _universe_for_eval(args):
         raise ContractViolation("evaluation universe is empty")
 
     index = {lab: i for i, lab in enumerate(labels)}
-
-    def build(mapping: dict[str, str]) -> Clustering:
-        assignment = np.full(len(labels), -1, np.int64)
-        tokens: dict[str, int] = {}
-        for lab, token in mapping.items():
-            pos = index.get(lab)
-            if pos is None:
-                continue
-            assignment[pos] = tokens.setdefault(token, len(tokens))
-        free = np.flatnonzero(assignment < 0)
-        assignment[free] = len(tokens) + np.arange(len(free))
-        return Clustering.from_assignment(assignment)
-
-    return build(truth_map), build(est_map), graph, restricted
+    truth = clustering_from_pairs(truth_pairs, index)
+    return truth, clustering_from_pairs(est_pairs, index), graph, restricted
 
 
 def _cmd_eval(args) -> int:
@@ -406,11 +396,8 @@ def _cmd_stats(args) -> int:
         inputs["edgelist"] = args.edgelist
     else:
         pairs = read_membership(args.clustering)
-        tokens: dict[str, int] = {}
-        assignment = np.array(
-            [tokens.setdefault(tok, len(tokens)) for _, tok in pairs], dtype=np.int64
-        )
-        clustering = Clustering.from_assignment(assignment)
+        index = {label: i for i, (label, _) in enumerate(pairs)}
+        clustering = clustering_from_pairs(pairs, index)
         extra = {}
     stats = cluster_stats(clustering)
     payload = {

@@ -15,6 +15,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from . import _kernels
 from .errors import ClusteringParseError, ContractViolation, UniverseMismatch
 from .graph import Graph, _open_text, split_by_label
 
@@ -101,8 +102,11 @@ class ThresholdSpec:
     def __post_init__(self):
         if self.kind not in self.KIND_CODES:
             raise ContractViolation(f"unknown threshold kind: {self.kind!r}")
-        if self.coefficient < 0:
-            raise ContractViolation("threshold coefficient must be nonnegative")
+        if not math.isfinite(self.coefficient) or self.coefficient < 0:
+            raise ContractViolation(
+                "threshold coefficient must be finite and nonnegative, "
+                f"got {self.coefficient}"
+            )
 
     @property
     def kind_code(self) -> int:
@@ -112,11 +116,7 @@ class ThresholdSpec:
         """The bound f(size) for a cluster of the given current size."""
         if size < 1:
             raise ContractViolation("cluster size must be at least 1")
-        if self.kind == "log10-multiple":
-            return self.coefficient * math.log10(size)
-        if self.kind == "constant":
-            return self.coefficient
-        return 0.0
+        return _kernels._bound(self.kind_code, self.coefficient, size)
 
     @classmethod
     def parse(cls, text: str) -> "ThresholdSpec":
@@ -261,36 +261,44 @@ def read_membership(source: str | Path | IO) -> list[tuple[str, str]]:
     return pairs
 
 
+def clustering_from_pairs(
+    pairs: Iterable[tuple[str, str]], label_index: dict[str, int]
+) -> Clustering:
+    """Canonical Clustering of the nodes in `label_index` from (label, token) pairs.
+
+    Nodes that share a token share a cluster; nodes no pair names become
+    singletons; pairs whose label is not in `label_index` are skipped.
+    """
+    nodes: list[int] = []
+    token_ids: list[int] = []
+    tokens: dict[str, int] = {}
+    for label, token in pairs:
+        node = label_index.get(label)
+        if node is not None:
+            nodes.append(node)
+            token_ids.append(tokens.setdefault(token, len(tokens)))
+    assignment = np.full(len(label_index), -1, np.int64)
+    assignment[nodes] = token_ids
+    free = np.flatnonzero(assignment < 0)
+    assignment[free] = len(tokens) + np.arange(len(free))
+    return Clustering.from_assignment(assignment)
+
+
 def load_clustering(source: str | Path | IO, g: Graph) -> ClusteringLoadResult:
     """Read `node-label <tab> cluster-token` lines into a canonical Clustering."""
     pairs = read_membership(source)
-    token_ids: dict[str, int] = {}
-    extra_labels: list[str] = []
     label_index = g.label_index()
-    assigned: list[tuple[int, int]] = []  # (node index, token id)
-    for label, token in pairs:
-        tid = token_ids.setdefault(token, len(token_ids))
-        node = label_index.get(label)
-        if node is None:
-            node = g.n + len(extra_labels)
-            extra_labels.append(label)
-        assigned.append((node, tid))
-
-    graph = g.with_isolated(extra_labels)
-    n = graph.n
-    assignment = np.full(n, -1, np.int64)
-    for node, tid in assigned:
-        assignment[node] = tid
-    missing = int(np.count_nonzero(assignment < 0))
-    # unassigned nodes become singleton clusters
-    free = np.flatnonzero(assignment < 0)
-    assignment[free] = len(token_ids) + np.arange(len(free))
-    clustering = Clustering.from_assignment(assignment)
+    extra_labels = [label for label, _ in pairs if label not in label_index]
+    if extra_labels:
+        # the extended graph's index, without building and caching it anew
+        extra_index = {lab: g.n + i for i, lab in enumerate(extra_labels)}
+        label_index = {**label_index, **extra_index}
     return ClusteringLoadResult(
-        clustering=clustering,
-        graph=graph,
+        clustering=clustering_from_pairs(pairs, label_index),
+        graph=g.with_isolated(extra_labels),
         unknown_labels=len(extra_labels),
-        missing_nodes=missing,
+        # read_membership lists each label once
+        missing_nodes=g.n - (len(pairs) - len(extra_labels)),
     )
 
 

@@ -5,17 +5,20 @@ subgraph. WCC additionally removes minimum edge cuts until every emitted
 cluster strictly beats the connectivity bound. CM is WCC plus a
 re-clustering step applied to every part produced by a split.
 
+CC is run as WCC with the connectivity-only bound f(n) = 0: a connected
+piece passes any bound below one edge, so only the component split acts.
+
 The parent graph is never mutated: removing a cut and keeping both sides is
 the same as recursing on the induced subgraphs of the two sides, because
-crossing edges vanish from both. Per-cluster work is independent, so
-clusters can be processed by a pool of worker processes; outputs are merged
-canonically and do not depend on the worker count.
+crossing edges vanish from both. Per-cluster work is independent, so all
+three treatments run each original cluster through `_engine.map_clusters`,
+serially or on a pool of worker processes; outputs are merged canonically
+and do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import shlex
 import subprocess
@@ -25,8 +28,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .clustering import Clustering, ThresholdSpec
-from .errors import ContractViolation, ExternalClustererError, TreatmentError
+from ._engine import map_clusters
+from .clustering import (
+    Clustering,
+    ThresholdSpec,
+    clustering_from_pairs,
+    read_membership,
+)
+from .errors import (
+    ClusteringParseError,
+    ContractViolation,
+    ExternalClustererError,
+    TreatmentError,
+)
 from .graph import Graph, split_by_label, write_edgelist
 
 log = logging.getLogger("wellconn")
@@ -125,38 +139,17 @@ class ExternalClusterer:
                 raise ExternalClustererError(
                     f"command {argv[0]!r} wrote no output file"
                 )
-            return self._read_membership(out_path, graph)
-
-    @staticmethod
-    def _read_membership(path: str, graph: Graph) -> Clustering:
-        label_index = graph.label_index()
-        assignment = np.full(graph.n, -1, np.int64)
-        tokens: dict[str, int] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n").rstrip("\r")
-                if not line.strip():
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ExternalClustererError(
-                        f"external output line {line_no}: expected two tokens"
-                    )
-                label, token = parts
-                node = label_index.get(label)
-                if node is None:
+            try:
+                pairs = read_membership(out_path)
+            except ClusteringParseError as exc:
+                raise ExternalClustererError(f"external output: {exc}") from None
+            label_index = graph.label_index()
+            for label, _ in pairs:
+                if label not in label_index:
                     raise ExternalClustererError(
                         f"external output names unknown node {label!r}: not a partition"
                     )
-                tid = tokens.setdefault(token, len(tokens))
-                if assignment[node] != -1 and assignment[node] != tid:
-                    raise ExternalClustererError(
-                        f"external output assigns {label!r} twice: not a partition"
-                    )
-                assignment[node] = tid
-        free = np.flatnonzero(assignment < 0)
-        assignment[free] = len(tokens) + np.arange(len(free))
-        return Clustering.from_assignment(assignment)
+            return clustering_from_pairs(pairs, label_index)
 
 
 def parse_clusterer(text: str):
@@ -170,36 +163,15 @@ def parse_clusterer(text: str):
     raise ContractViolation(f"unknown clusterer: {text!r}")
 
 
-def cc_treatment(g: Graph, c: Clustering) -> Clustering:
+def cc_treatment(g: Graph, c: Clustering, *, processes: int = 1) -> Clustering:
     """Replace each cluster by the connected components of its subgraph."""
-    clustering, _ = cc_treatment_with_trace(g, c)
-    return clustering
+    return cc_treatment_with_trace(g, c, processes=processes)[0]
 
 
-def cc_treatment_with_trace(g: Graph, c: Clustering) -> tuple[Clustering, TreatmentTrace]:
-    _check_cover(g, c)
-    mark = np.full(g.n, -1, np.int64)
-    pieces: list[np.ndarray] = []
-    splits = 0
-    for members in c.clusters:
-        if len(members) == 1:
-            pieces.append(members)
-            continue
-        si, sa = _kernels.induced_csr(g.indptr, g.adj, members, mark)
-        labels = _kernels.connected_labels(si, sa)
-        if labels.max() == 0:
-            pieces.append(members)
-        else:
-            splits += 1
-            pieces.extend(members[grp] for grp in split_by_label(labels))
-    trace = TreatmentTrace(
-        cuts_performed=0,
-        components_splits=splits,
-        max_recursion_depth=1 if splits else 0,
-        clusters_in=c.num_clusters,
-        clusters_out=len(pieces),
-    )
-    return _merge_pieces(g.n, pieces), trace
+def cc_treatment_with_trace(
+    g: Graph, c: Clustering, *, processes: int = 1
+) -> tuple[Clustering, TreatmentTrace]:
+    return _treat(g, c, ThresholdSpec("connectivity-only", 0.0), None, processes)
 
 
 def wcc_treatment(
@@ -223,43 +195,23 @@ def cm_treatment(
     return _treat(g, c, t, clusterer=clusterer, processes=processes)
 
 
-def _check_cover(g: Graph, c: Clustering) -> None:
-    if c.n != g.n:
-        raise ContractViolation(
-            f"clustering covers {c.n} nodes but graph has {g.n}"
-        )
-
-
-def _merge_pieces(n: int, pieces: list[np.ndarray]) -> Clustering:
-    assignment = np.full(n, -1, np.int64)
-    for cid, piece in enumerate(pieces):
-        assignment[piece] = cid
-    if np.any(assignment < 0):
-        raise TreatmentError("treatment produced a non-covering partition")
-    return Clustering.from_assignment(assignment)
-
-
 # ---------------------------------------------------------------------------
-# queue engine
-
-_WORKER_CTX: dict = {}
+# split queue of one cluster
 
 
 def _process_cluster(
     indptr: np.ndarray,
     adj: np.ndarray,
     nodes: np.ndarray,
+    mark: np.ndarray,
     t: ThresholdSpec,
     clusterer,
-    labels: list[str] | None,
-    mark: np.ndarray,
+    labels: list[str],
 ) -> tuple[list[np.ndarray], int, int, int]:
     """Run the split queue for one original cluster.
 
     Returns (pieces, cuts_performed, components_splits, max_depth).
     """
-    kind_code = t.kind_code
-    coefficient = t.coefficient
     fast = clusterer is None or clusterer.trivial_on_connected
     emitted: list[np.ndarray] = []
     cuts = 0
@@ -278,9 +230,16 @@ def _process_cluster(
         comp = _kernels.connected_labels(si, sa)
         if comp.max() > 0:
             comp_splits += 1
+            if depth + 1 > maxdepth:
+                maxdepth = depth + 1
             parts = [nd[grp] for grp in split_by_label(comp)]
             for part in _recluster(parts, clusterer, indptr, adj, labels, mark):
-                stack.append((part, depth + 1))
+                if fast and (len(part) == 1 or 1.0 > t.value(len(part))):
+                    # a component that passes any cut: popping it would only
+                    # induce it again to emit it
+                    emitted.append(part)
+                else:
+                    stack.append((part, depth + 1))
             continue
         bound = t.value(size)
         if 1.0 > bound:
@@ -291,7 +250,7 @@ def _process_cluster(
             degree_min = int(np.min(np.diff(si)))
             if degree_min <= bound:
                 alive, peeled, count = _kernels.low_degree_peel(
-                    si, sa, kind_code, coefficient
+                    si, sa, t.kind_code, t.coefficient
                 )
                 if count > 0:  # guard: an empty batch must not re-enqueue
                     cuts += count
@@ -319,7 +278,7 @@ def _recluster(
     clusterer,
     indptr: np.ndarray,
     adj: np.ndarray,
-    labels: list[str] | None,
+    labels: list[str],
     mark: np.ndarray,
 ) -> list[np.ndarray]:
     """Apply the re-clustering step of CM to each part of a split."""
@@ -350,25 +309,6 @@ def _recluster(
     return out
 
 
-def _worker_run(task: tuple[int, np.ndarray]):
-    idx, nodes = task
-    ctx = _WORKER_CTX
-    mark = ctx.get("mark")
-    if mark is None or len(mark) != ctx["n"]:
-        mark = np.full(ctx["n"], -1, np.int64)
-        ctx["mark"] = mark
-    pieces, cuts, comp_splits, maxdepth = _process_cluster(
-        ctx["indptr"],
-        ctx["adj"],
-        nodes,
-        ctx["threshold"],
-        ctx["clusterer"],
-        ctx["labels"],
-        mark,
-    )
-    return idx, pieces, cuts, comp_splits, maxdepth
-
-
 def _treat(
     g: Graph,
     c: Clustering,
@@ -376,43 +316,10 @@ def _treat(
     clusterer,
     processes: int,
 ) -> tuple[Clustering, TreatmentTrace]:
-    _check_cover(g, c)
+    results = map_clusters(g, c, _process_cluster, (t, clusterer, g.labels), processes)
     trace = TreatmentTrace(clusters_in=c.num_clusters)
-    needs_labels = clusterer is not None and not clusterer.trivial_on_connected
-    labels = g.labels if needs_labels else None
-
-    tasks = [(i, members) for i, members in enumerate(c.clusters)]
-    results: list[tuple[int, list[np.ndarray], int, int, int]] = []
-
-    if processes > 1 and len(tasks) > 1:
-        _kernels.warmup()  # compile before forking so children reuse the cache
-        _WORKER_CTX.clear()
-        _WORKER_CTX.update(
-            indptr=g.indptr,
-            adj=g.adj,
-            n=g.n,
-            threshold=t,
-            clusterer=clusterer,
-            labels=labels,
-        )
-        # largest clusters first for balance; identity restored on merge
-        order = sorted(tasks, key=lambda kv: -len(kv[1]))
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=processes) as pool:
-            for res in pool.imap_unordered(_worker_run, order, chunksize=4):
-                results.append(res)
-        _WORKER_CTX.clear()
-    else:
-        mark = np.full(g.n, -1, np.int64)
-        for idx, nodes in tasks:
-            pieces, cuts, comp_splits, maxdepth = _process_cluster(
-                g.indptr, g.adj, nodes, t, clusterer, labels, mark
-            )
-            results.append((idx, pieces, cuts, comp_splits, maxdepth))
-
-    results.sort(key=lambda r: r[0])
     pieces: list[np.ndarray] = []
-    for idx, cluster_pieces, cuts, comp_splits, maxdepth in results:
+    for idx, (cluster_pieces, cuts, comp_splits, maxdepth) in enumerate(results):
         pieces.extend(cluster_pieces)
         trace.cuts_performed += cuts
         trace.components_splits += comp_splits
@@ -433,4 +340,9 @@ def _treat(
         trace.cuts_performed,
         trace.components_splits,
     )
-    return _merge_pieces(g.n, pieces), trace
+    assignment = np.full(g.n, -1, np.int64)
+    for cid, piece in enumerate(pieces):
+        assignment[piece] = cid
+    if np.any(assignment < 0):
+        raise TreatmentError("treatment produced a non-covering partition")
+    return Clustering.from_assignment(assignment), trace

@@ -100,10 +100,16 @@ class TestCategories:
     def test_parallel_matches_serial(self, threshold):
         rng = random.Random(5)
         g = random_graph_any(rng, 100, 0.08)
-        c = random_clustering(rng, g.n, kmax=9)
-        a = w.connectivity_audit(g, c, threshold, processes=1)
-        b = w.connectivity_audit(g, c, threshold, processes=4)
-        assert a.to_dict() == b.to_dict()
+        # the second input has fewer clusters than workers
+        inputs = [
+            random_clustering(rng, g.n, kmax=9),
+            w.Clustering.from_assignment(np.arange(g.n) % 3),
+        ]
+        for c in inputs:
+            a = w.connectivity_audit(g, c, threshold, processes=1)
+            for processes in (2, 4):
+                b = w.connectivity_audit(g, c, threshold, processes=processes)
+                assert a.to_dict() == b.to_dict()
 
     def test_cover_mismatch_rejected(self, threshold):
         g = graph_of(3, [(0, 1)])

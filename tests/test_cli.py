@@ -162,12 +162,28 @@ class TestTreat:
         )
         assert code == 2
 
-    def test_bad_threshold_exit_1(self, tmp_path, gadget_files):
+    def test_bad_threshold_exit_1(self, tmp_path, gadget_files, capsys):
         g, edgelist, planted, whole = gadget_files
+        out = tmp_path / "out.tsv"
+        for bad in ("banana", "nanlog10"):
+            assert run(
+                ["treat", "--edgelist", edgelist, "--existing-clustering", whole,
+                 "--mode", "wcc", "--threshold", bad, "--output-file", out]
+            ) == 1
+            assert "Traceback" not in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_bad_num_processors_exit_1(self, tmp_path, gadget_files):
+        g, edgelist, planted, whole = gadget_files
+        for mode in ("cc", "wcc"):
+            assert run(
+                ["treat", "--edgelist", edgelist, "--existing-clustering", whole,
+                 "--mode", mode, "--num-processors", 0,
+                 "--output-file", tmp_path / "out.tsv"]
+            ) == 1
         assert run(
-            ["treat", "--edgelist", edgelist, "--existing-clustering", whole,
-             "--mode", "wcc", "--threshold", "banana",
-             "--output-file", tmp_path / "out.tsv"]
+            ["audit", "--edgelist", edgelist, "--clustering", whole,
+             "--num-processors", -1, "--output", tmp_path / "report.json"]
         ) == 1
 
     def test_log_file_written(self, tmp_path, gadget_files):

@@ -119,7 +119,8 @@ class TestThreshold:
         assert spec.coefficient == coef
 
     def test_parse_rejects_garbage(self):
-        for bad in ("xlog10", "1.5", "-1log10", "log10"):
+        for bad in ("xlog10", "1.5", "-1log10", "log10",
+                    "nanlog10", "inflog10", "1e400log10"):
             with pytest.raises(w.ContractViolation):
                 w.ThresholdSpec.parse(bad)
 

@@ -1,5 +1,6 @@
 """CC, WCC, and CM treatments: examples, invariants, reference equivalence."""
 
+import multiprocessing
 import random
 import sys
 
@@ -47,7 +48,19 @@ class TestCC:
         for _ in range(25):
             g = random_graph_any(rng, rng.randint(2, 40), rng.uniform(0.05, 0.4))
             c = random_clustering(rng, g.n, kmax=6)
-            assert w.cc_treatment(g, c) == reference_cc(g, c)
+            expected = reference_cc(g, c)
+            out, trace = w.cc_treatment_with_trace(g, c)
+            assert out == expected
+            # cc shares the wcc engine, so its trace is counted independently
+            splits = sum(
+                len(w.connected_components(w.induced_subgraph(g, members)[0])) > 1
+                for members in c.clusters
+            )
+            assert trace.components_splits == splits
+            assert trace.max_recursion_depth == (1 if splits else 0)
+            assert trace.cuts_performed == 0
+            assert trace.clusters_in == c.num_clusters
+            assert trace.clusters_out == expected.num_clusters
 
     def test_idempotent(self):
         rng = random.Random(10)
@@ -162,11 +175,33 @@ class TestWCC:
     def test_parallel_matches_serial(self, threshold):
         rng = random.Random(99)
         g = random_graph_any(rng, 120, 0.08)
-        c = random_clustering(rng, g.n, kmax=8)
-        serial, trace1 = w.wcc_treatment(g, c, threshold, processes=1)
-        parallel, trace2 = w.wcc_treatment(g, c, threshold, processes=4)
-        assert serial == parallel
-        assert trace1 == trace2
+        # the second input has fewer clusters than workers
+        inputs = [
+            random_clustering(rng, g.n, kmax=8),
+            w.Clustering.from_assignment(np.arange(g.n) % 3),
+        ]
+        for c in inputs:
+            serial = w.wcc_treatment(g, c, threshold, processes=1)
+            serial_cc = w.cc_treatment_with_trace(g, c)
+            for processes in (2, 4):
+                assert w.wcc_treatment(g, c, threshold, processes=processes) == serial
+            assert w.cc_treatment_with_trace(g, c, processes=2) == serial_cc
+
+    def test_workers_capped_at_cluster_count(self, threshold, monkeypatch):
+        fork = multiprocessing.get_context("fork")
+        pool = fork.Pool
+        started = []
+
+        def counting_pool(processes, *args):
+            started.append(processes)
+            return pool(processes, *args)
+
+        monkeypatch.setattr(fork, "Pool", counting_pool)
+        g = two_cliques(10, bridges=1)
+        c = w.Clustering.from_assignment(np.repeat([0, 1], 10))
+        serial = w.wcc_treatment(g, c, threshold)
+        assert w.wcc_treatment(g, c, threshold, processes=8) == serial
+        assert started == [2]
 
 
 class TestCM:
@@ -256,15 +291,20 @@ class TestExternalClusterer:
             w.cm_treatment(g, one_cluster(g), threshold, w.ExternalClusterer(script))
 
     def test_external_foreign_labels_rejected(self, tmp_path, threshold):
-        script = self._script(
-            tmp_path,
-            "import sys\n"
-            "with open(sys.argv[2], 'w') as out:\n"
-            "    out.write('not-a-node\\tx\\n')\n",
-        )
         g = two_cliques(10, bridges=1)
-        with pytest.raises(w.ExternalClustererError):
-            w.cm_treatment(g, one_cluster(g), threshold, w.ExternalClusterer(script))
+        # a foreign label, an empty token, a node assigned twice, a short line;
+        # {v} is a node of the part
+        for written in ("not-a-node\tx\n", "{v}\t\n", "{v}\tx\n{v}\ty\n", "{v}\n"):
+            script = self._script(
+                tmp_path,
+                "import sys\n"
+                "v = open(sys.argv[1]).read().split()[0]\n"
+                "with open(sys.argv[2], 'w') as out:\n"
+                f"    out.write({written!r}.format(v=v))\n",
+            )
+            clusterer = w.ExternalClusterer(script)
+            with pytest.raises(w.ExternalClustererError):
+                w.cm_treatment(g, one_cluster(g), threshold, clusterer)
 
     def test_command_template_validation(self):
         with pytest.raises(w.ContractViolation):
