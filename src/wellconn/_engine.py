@@ -15,7 +15,6 @@ import multiprocessing
 
 import numpy as np
 
-from . import _kernels
 from .clustering import Clustering
 from .errors import ContractViolation
 from .graph import Graph
@@ -50,7 +49,6 @@ def map_clusters(g: Graph, c: Clustering, fn, args: tuple, processes: int) -> li
     if workers <= 1:
         mark = np.full(g.n, -1, np.int64)
         return [fn(g.indptr, g.adj, members, mark, *args) for members in c.clusters]
-    _kernels.warmup()  # compile before forking so workers reuse the cache
     order = sorted(enumerate(c.clusters), key=lambda task: -len(task[1]))
     chunksize = min(4, math.ceil(len(order) / (4 * workers)))
     results: list = [None] * len(c.clusters)

@@ -1,95 +1,66 @@
-"""Low-level CSR graph kernels, numba-compiled when numba is available.
+"""Low-level CSR graph kernels in plain Python, numpy and heapq.
 
 All kernels are deterministic: fixed scan orders, fixed tie-breaks (smallest
-index wins), no randomness. They operate on plain numpy arrays so the same
-code runs, slowly, without numba.
+index wins), no randomness. Whole-array bookkeeping (gathers, sorts, sums)
+runs in numpy; the inherently sequential parts (breadth-first search, the
+maximum-adjacency ordering, union-find, the peel) run as Python loops over
+lists taken with `.tolist()`, with `heapq` as the priority queue.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:  # numba is optional: the kernels then run as plain Python
-    NUMBA_ENABLED = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+# printed by reports; the kernels are never compiled
+NUMBA_ENABLED = False
 
 
-@njit(cache=True)
 def connected_labels(indptr, adj):
     """Component label per node; labels ordered by smallest contained node."""
-    n = indptr.shape[0] - 1
-    labels = np.full(n, -1, np.int64)
-    queue = np.empty(n, np.int64)
+    n = len(indptr) - 1
+    ip = indptr.tolist()
+    nb = adj.tolist()
+    labels = [-1] * n
     comp = 0
     for root in range(n):
         if labels[root] >= 0:
             continue
         labels[root] = comp
-        queue[0] = root
-        head = 0
-        tail = 1
-        while head < tail:
-            v = queue[head]
-            head += 1
-            for pos in range(indptr[v], indptr[v + 1]):
-                u = adj[pos]
+        queue = [root]
+        for v in queue:  # breadth-first: the queue grows while it is read
+            for u in nb[ip[v] : ip[v + 1]]:
                 if labels[u] < 0:
                     labels[u] = comp
-                    queue[tail] = u
-                    tail += 1
+                    queue.append(u)
         comp += 1
-    return labels
+    return np.array(labels, np.int64)
 
 
-@njit(cache=True)
 def induced_csr(indptr, adj, nodes, mark):
     """CSR of the subgraph induced by `nodes` (sorted ascending, relabeled 0..k-1).
 
     `mark` is a reusable int64 scratch array of global length filled with -1;
     it is restored to -1 before returning so callers can share one buffer.
     """
-    k = nodes.shape[0]
-    for i in range(k):
-        mark[nodes[i]] = i
+    k = len(nodes)
+    mark[nodes] = np.arange(k)
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    # positions of every neighbour entry of every node, row by row
+    offsets = np.cumsum(counts) - counts
+    pos = np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
+    local = mark[adj[pos]]
+    inside = local >= 0
+    rows = np.repeat(np.arange(k), counts)[inside]
     sub_indptr = np.zeros(k + 1, np.int64)
-    for i in range(k):
-        v = nodes[i]
-        c = 0
-        for pos in range(indptr[v], indptr[v + 1]):
-            if mark[adj[pos]] >= 0:
-                c += 1
-        sub_indptr[i + 1] = c
-    for i in range(k):
-        sub_indptr[i + 1] += sub_indptr[i]
-    sub_adj = np.empty(sub_indptr[k], np.int32)
-    for i in range(k):
-        v = nodes[i]
-        w = sub_indptr[i]
-        for pos in range(indptr[v], indptr[v + 1]):
-            j = mark[adj[pos]]
-            if j >= 0:
-                sub_adj[w] = j
-                w += 1
-    for i in range(k):
-        mark[nodes[i]] = -1
-    return sub_indptr, sub_adj
+    np.cumsum(np.bincount(rows, minlength=k), out=sub_indptr[1:])
+    mark[nodes] = -1
+    return sub_indptr, local[inside].astype(np.int32)
 
 
-@njit(cache=True)
 def _bound(kind_code, coefficient, size):
     # 0: multiple of log10(size), 1: constant, 2: connectivity only
     if kind_code == 0:
@@ -99,42 +70,6 @@ def _bound(kind_code, coefficient, size):
     return 0.0
 
 
-@njit(cache=True)
-def _idheap_push(heap, hn, v):
-    heap[hn] = v
-    i = hn
-    while i > 0:
-        p = (i - 1) >> 1
-        if heap[p] > heap[i]:
-            heap[p], heap[i] = heap[i], heap[p]
-            i = p
-        else:
-            break
-    return hn + 1
-
-
-@njit(cache=True)
-def _idheap_pop(heap, hn):
-    top = heap[0]
-    hn -= 1
-    heap[0] = heap[hn]
-    i = 0
-    while True:
-        l = 2 * i + 1
-        r = l + 1
-        s = i
-        if l < hn and heap[l] < heap[s]:
-            s = l
-        if r < hn and heap[r] < heap[s]:
-            s = r
-        if s == i:
-            break
-        heap[s], heap[i] = heap[i], heap[s]
-        i = s
-    return top, hn
-
-
-@njit(cache=True)
 def low_degree_peel(indptr, adj, kind_code, coefficient):
     """Strip minimum-degree vertices while their star alone breaks the bound.
 
@@ -145,350 +80,183 @@ def low_degree_peel(indptr, adj, kind_code, coefficient):
     single-edge cut would already satisfy it, or one vertex remains.
 
     Returns (alive, peeled, n_peeled): a liveness mask over local ids and the
-    strip order (prefix of length n_peeled). Isolated vertices are never
-    stripped; a disconnected remainder is the caller's to re-split.
+    strip order. Isolated vertices are never stripped; a disconnected
+    remainder is the caller's to re-split.
     """
-    n = indptr.shape[0] - 1
-    deg = np.empty(n, np.int64)
-    for v in range(n):
-        deg[v] = indptr[v + 1] - indptr[v]
-    alive = np.ones(n, np.bool_)
-    # lazy min-heap over (degree, vertex) packed into one int64 key
-    cap = n + adj.shape[0] + 1
-    heap = np.empty(cap, np.int64)
-    hn = 0
-    for v in range(n):
-        hn = _idheap_push(heap, hn, deg[v] * n + v)
-    peeled = np.empty(n, np.int64)
-    count = 0
+    n = len(indptr) - 1
+    ip = indptr.tolist()
+    nb = adj.tolist()
+    deg = [ip[v + 1] - ip[v] for v in range(n)]
+    alive = [True] * n
+    # lazy min-heap over (degree, vertex) packed into one integer key
+    heap = [d * n + v for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    peeled = []
     size = n
     while size >= 2:
         bound = _bound(kind_code, coefficient, size)
         if 1.0 > bound:
             break
-        v = -1
-        d = np.int64(0)
-        while hn > 0:
-            key = heap[0]
-            kd = key // n
-            kv = key % n
-            if not alive[kv] or deg[kv] != kd:
-                _, hn = _idheap_pop(heap, hn)
-                continue
-            if kd == 0:
-                # isolated in the remainder: left for the component step
-                _, hn = _idheap_pop(heap, hn)
-                continue
-            v = kv
-            d = kd
+        # drop stale entries and vertices isolated in the remainder (those
+        # are left for the component step)
+        while heap:
+            d, v = divmod(heap[0], n)
+            if alive[v] and deg[v] == d and d > 0:
+                break
+            heapq.heappop(heap)
+        if not heap or d > bound:
             break
-        if v < 0 or d > bound:
-            break
-        _, hn = _idheap_pop(heap, hn)
+        heapq.heappop(heap)
         alive[v] = False
         deg[v] = 0
         size -= 1
-        peeled[count] = v
-        count += 1
-        for pos in range(indptr[v], indptr[v + 1]):
-            u = adj[pos]
+        peeled.append(v)
+        for u in nb[ip[v] : ip[v + 1]]:
             if alive[u]:
                 deg[u] -= 1
-                hn = _idheap_push(heap, hn, deg[u] * n + u)
-    return alive, peeled, count
+                heapq.heappush(heap, deg[u] * n + u)
+    return np.array(alive, np.bool_), np.array(peeled, np.int64), len(peeled)
 
 
-@njit(cache=True)
-def _find(parent, x):
-    root = x
-    while parent[root] != root:
-        root = parent[root]
-    while parent[x] != root:
-        nxt = parent[x]
-        parent[x] = root
-        x = nxt
-    return root
+def _ma_ordering(ip, nb, wt, nv):
+    """Maximum-adjacency ordering of a weighted CSR graph from vertex 0.
+
+    The next vertex is the one most strongly attached to those already
+    scanned, the smallest id among equals. Returns (scanned, last, prev,
+    key of last, qv) where qv[pos] is the attachment of nb[pos] just after
+    its edge at position pos was scanned (0 for edges scanned from the
+    other end).
+    """
+    wsum = [0] * nv
+    done = [False] * nv
+    qv = [0] * len(nb)
+    heap = [(0, 0)]  # (-attachment, id): largest attachment, then smallest id
+    scanned = last = prev = 0
+    while heap:
+        key, v = heapq.heappop(heap)
+        if done[v] or key != -wsum[v]:
+            continue  # stale entry
+        done[v] = True
+        scanned += 1
+        prev, last = last, v
+        for pos in range(ip[v], ip[v + 1]):
+            u = nb[pos]
+            if not done[u]:
+                s = wsum[u] + wt[pos]
+                wsum[u] = s
+                qv[pos] = s
+                heapq.heappush(heap, (-s, u))
+    return scanned, last, prev, wsum[last], qv
 
 
-@njit(cache=True)
-def _heap_push(hk, hr, hv, hn, key, rep, v):
-    hk[hn] = key
-    hr[hn] = rep
-    hv[hn] = v
-    i = hn
-    while i > 0:
-        p = (i - 1) >> 1
-        if hk[p] < hk[i] or (hk[p] == hk[i] and hr[p] > hr[i]):
-            hk[p], hk[i] = hk[i], hk[p]
-            hr[p], hr[i] = hr[i], hr[p]
-            hv[p], hv[i] = hv[i], hv[p]
-            i = p
-        else:
-            break
-    return hn + 1
+def _union_smaller(nv, pairs):
+    """Representative per id after joining `pairs`: the smallest id of its set."""
+    up = list(range(nv))
+
+    def find(x):
+        while up[x] != x:
+            up[x] = up[up[x]]
+            x = up[x]
+        return x
+
+    for a, b in pairs:
+        a = find(a)
+        b = find(b)
+        if a < b:
+            up[b] = a
+        elif b < a:
+            up[a] = b
+    return np.array([find(x) for x in range(nv)], np.int64)
 
 
-@njit(cache=True)
-def _heap_pop(hk, hr, hv, hn):
-    key = hk[0]
-    v = hv[0]
-    hn -= 1
-    hk[0] = hk[hn]
-    hr[0] = hr[hn]
-    hv[0] = hv[hn]
-    i = 0
-    while True:
-        l = 2 * i + 1
-        r = l + 1
-        s = i
-        if l < hn and (hk[l] > hk[s] or (hk[l] == hk[s] and hr[l] < hr[s])):
-            s = l
-        if r < hn and (hk[r] > hk[s] or (hk[r] == hk[s] and hr[r] < hr[s])):
-            s = r
-        if s == i:
-            break
-        hk[s], hk[i] = hk[i], hk[s]
-        hr[s], hr[i] = hr[i], hr[s]
-        hv[s], hv[i] = hv[i], hv[s]
-        i = s
-    return key, v, hn
-
-
-@njit(cache=True)
-def _record_members(list_head, nxt, side):
-    for i in range(side.shape[0]):
-        side[i] = False
-    x = list_head
-    while x >= 0:
-        side[x] = True
-        x = nxt[x]
-
-
-@njit(cache=True)
 def min_cut_csr(indptr, adj):
     """Exact global minimum edge cut of a connected simple graph in CSR form.
 
-    Maximum-adjacency orderings drive both the cut candidates (the last
-    vertex of each ordering yields a valid cut, as does every supervertex
-    star) and the safe contractions: the final ordering pair always merges,
-    as does any edge whose ordering-time connectivity certificate exceeds the
-    best cut found so far and any edge at least as heavy as that best cut.
-    Candidates only ever replace strictly worse ones, so the first optimum
-    produced by the fixed scan order is returned.
+    Maximum-adjacency orderings (Nagamochi-Ibaraki, as in Stoer-Wagner)
+    drive both the cut candidates (the last vertex of each ordering yields a
+    valid cut, as does every supervertex star) and the safe contractions:
+    the final ordering pair always merges, as does any edge whose
+    ordering-time connectivity certificate exceeds the best cut found so
+    far and any edge at least as heavy as that best cut. Candidates only
+    ever replace strictly worse ones, so the first optimum produced by the
+    fixed scan order is returned.
+
+    Supervertex ids stay in ascending order of their smallest node, so a
+    tie-break on the id is a tie-break on that node.
 
     Returns (value, side) with side a bool mask whose True part contains
     node 0. value == -1 signals a disconnected input.
     """
-    n = indptr.shape[0] - 1
+    n = len(indptr) - 1
+    deg = np.diff(indptr)
     side = np.zeros(n, np.bool_)
-
-    best = np.int64(1) << 60
-    bestv = -1
-    for v in range(n):
-        d = indptr[v + 1] - indptr[v]
-        if d < best:
-            best = d
-            bestv = v
+    v = int(np.argmin(deg))
+    best = int(deg[v])
     if best == 0:
-        return np.int64(-1), side
-    side[bestv] = True
-    if best == 1:
-        if not side[0]:
-            for i in range(n):
-                side[i] = not side[i]
-        return np.int64(1), side
+        return -1, side
+    side[v] = True
 
-    # undirected edge list over current supervertex ids, unit weights
-    ne = adj.shape[0] // 2
-    eu = np.empty(ne, np.int64)
-    ev = np.empty(ne, np.int64)
-    ew = np.empty(ne, np.int64)
-    k = 0
-    for v in range(n):
-        for pos in range(indptr[v], indptr[v + 1]):
-            u = adj[pos]
-            if v < u:
-                eu[k] = v
-                ev[k] = u
-                ew[k] = 1
-                k += 1
-    ne = k
-
-    # union-find over original ids; the root is always the smallest original
-    # index of its supervertex, so roots double as deterministic tie-breakers
-    parent = np.arange(n, dtype=np.int64)
-    head = np.arange(n, dtype=np.int64)
-    tail = np.arange(n, dtype=np.int64)
-    nxt = np.full(n, -1, np.int64)
-    roots = np.arange(n, dtype=np.int64)
+    # undirected edge list over supervertex ids, unit weights
+    eu = np.repeat(np.arange(n), deg)
+    ev = adj.astype(np.int64)
+    upper = eu < ev
+    eu, ev = eu[upper], ev[upper]
+    ew = np.ones(len(eu), np.int64)
+    sv = np.arange(n)  # supervertex id of every node
     nv = n
-    curid = np.empty(n, np.int64)
 
     while nv >= 2 and best > 1:
-        # CSR of the contracted graph
+        # CSR of the contracted graph; each row lists its edges in edge order
+        ends = np.stack((eu, ev), 1).ravel()
+        order = np.argsort(ends, kind="stable")
+        src = ends[order]
+        dst = np.stack((ev, eu), 1).ravel()[order]
+        cw = np.repeat(ew, 2)[order]
         cindptr = np.zeros(nv + 1, np.int64)
-        for i in range(ne):
-            cindptr[eu[i] + 1] += 1
-            cindptr[ev[i] + 1] += 1
-        for i in range(nv):
-            cindptr[i + 1] += cindptr[i]
-        fill = cindptr[:nv].copy()
-        cadj = np.empty(2 * ne, np.int64)
-        cw = np.empty(2 * ne, np.int64)
-        for i in range(ne):
-            a = eu[i]
-            b = ev[i]
-            w = ew[i]
-            cadj[fill[a]] = b
-            cw[fill[a]] = w
-            fill[a] += 1
-            cadj[fill[b]] = a
-            cw[fill[b]] = w
-            fill[b] += 1
+        np.cumsum(np.bincount(src, minlength=nv), out=cindptr[1:])
 
         # star cuts of supervertices are valid cuts of the original graph
-        starv = -1
-        starw = np.int64(1) << 60
-        for i in range(nv):
-            s = np.int64(0)
-            for pos in range(cindptr[i], cindptr[i + 1]):
-                s += cw[pos]
-            if s < starw:
-                starw = s
-                starv = i
-        if starw < best:
-            best = starw
-            _record_members(head[roots[starv]], nxt, side)
+        star = np.zeros(nv, np.int64)
+        np.add.at(star, src, cw)
+        x = int(np.argmin(star))
+        if star[x] < best:
+            best = int(star[x])
+            side = sv == x
             if best == 1:
                 break
 
-        # maximum-adjacency ordering from the supervertex holding node 0
-        cap = 2 * ne + nv + 2
-        hk = np.empty(cap, np.int64)
-        hr = np.empty(cap, np.int64)
-        hv = np.empty(cap, np.int64)
-        hn = 0
-        wsum = np.zeros(nv, np.int64)
-        state = np.zeros(nv, np.uint8)  # 0 unseen, 1 queued, 2 scanned
-        qv = np.zeros(2 * ne, np.int64)
-        order = np.empty(nv, np.int64)
-        cnt = 0
-        hn = _heap_push(hk, hr, hv, hn, 0, roots[0], 0)
-        state[0] = 1
-        while hn > 0:
-            key, v, hn = _heap_pop(hk, hr, hv, hn)
-            if state[v] == 2 or key != wsum[v]:
-                continue
-            state[v] = 2
-            order[cnt] = v
-            cnt += 1
-            for pos in range(cindptr[v], cindptr[v + 1]):
-                u = cadj[pos]
-                if state[u] != 2:
-                    wsum[u] += cw[pos]
-                    qv[pos] = wsum[u]
-                    hn = _heap_push(hk, hr, hv, hn, wsum[u], roots[u], u)
-                    state[u] = 1
-        if cnt < nv:
-            return np.int64(-1), side
-
-        last = order[cnt - 1]
-        prevlast = order[cnt - 2]
-        kappa = wsum[last]
+        scanned, last, prev, kappa, qv = _ma_ordering(
+            cindptr.tolist(), dst.tolist(), cw.tolist(), nv
+        )
+        if scanned < nv:
+            return -1, side
         if kappa < best:
             best = kappa
-            _record_members(head[roots[last]], nxt, side)
+            side = sv == last
             if best == 1:
                 break
 
         # contract: the final ordering pair always merges; additionally any
         # edge certified at connectivity > best and any edge weighing >= best
-        a = _find(parent, roots[last])
-        b = _find(parent, roots[prevlast])
-        if a > b:
-            a, b = b, a
-        parent[b] = a
-        nxt[tail[a]] = head[b]
-        tail[a] = tail[b]
-        for v in range(nv):
-            for pos in range(cindptr[v], cindptr[v + 1]):
-                if qv[pos] > best or cw[pos] >= best:
-                    a = _find(parent, roots[v])
-                    b = _find(parent, roots[cadj[pos]])
-                    if a != b:
-                        if a > b:
-                            a, b = b, a
-                        parent[b] = a
-                        nxt[tail[a]] = head[b]
-                        tail[a] = tail[b]
-
-        # translate edge endpoints to their (possibly merged) roots before
-        # the root table is compacted
-        for i in range(ne):
-            eu[i] = _find(parent, roots[eu[i]])
-            ev[i] = _find(parent, roots[ev[i]])
-
-        newnv = 0
-        for i in range(nv):
-            r = roots[i]
-            if _find(parent, r) == r:
-                roots[newnv] = r
-                newnv += 1
-        nv = newnv
-        for i in range(nv):
-            curid[roots[i]] = i
+        sel = np.flatnonzero((np.array(qv, np.int64) > best) | (cw >= best))
+        rep = _union_smaller(
+            nv, [(last, prev), *zip(src[sel].tolist(), dst[sel].tolist())]
+        )
+        is_root = rep == np.arange(nv)
+        newid = (np.cumsum(is_root) - 1)[rep]
+        nv = int(is_root.sum())
+        sv = newid[sv]
 
         # remap to compact ids, drop collapsed edges, merge parallel edges
-        kept = 0
-        for i in range(ne):
-            a = curid[eu[i]]
-            b = curid[ev[i]]
-            if a == b:
-                continue
-            if a > b:
-                a, b = b, a
-            eu[kept] = a
-            ev[kept] = b
-            ew[kept] = ew[i]
-            kept += 1
-        ne = kept
-        if ne > 1:
-            keys = eu[:ne] * nv + ev[:ne]
-            order2 = np.argsort(keys)
-            neu = np.empty(ne, np.int64)
-            nev = np.empty(ne, np.int64)
-            nw = np.empty(ne, np.int64)
-            merged = 0
-            i = 0
-            while i < ne:
-                j = i
-                w = np.int64(0)
-                while j < ne and keys[order2[j]] == keys[order2[i]]:
-                    w += ew[order2[j]]
-                    j += 1
-                keyval = keys[order2[i]]
-                neu[merged] = keyval // nv
-                nev[merged] = keyval % nv
-                nw[merged] = w
-                merged += 1
-                i = j
-            eu = neu
-            ev = nev
-            ew = nw
-            ne = merged
+        a = newid[eu]
+        b = newid[ev]
+        kept = a != b
+        a, b = a[kept], b[kept]
+        keys, inv = np.unique(
+            np.minimum(a, b) * nv + np.maximum(a, b), return_inverse=True
+        )
+        ew_merged = np.zeros(len(keys), np.int64)
+        np.add.at(ew_merged, inv, ew[kept])
+        eu, ev, ew = keys // nv, keys % nv, ew_merged
 
-    if not side[0]:
-        for i in range(n):
-            side[i] = not side[i]
-    return best, side
-
-
-def warmup():
-    """Compile every kernel on a tiny graph (pays the JIT cost up front)."""
-    indptr = np.array([0, 1, 3, 4], dtype=np.int64)
-    adj = np.array([1, 0, 2, 1], dtype=np.int32)
-    mark = np.full(3, -1, np.int64)
-    connected_labels(indptr, adj)
-    induced_csr(indptr, adj, np.array([0, 1], dtype=np.int64), mark)
-    low_degree_peel(indptr, adj, 0, 1.0)
-    min_cut_csr(indptr, adj)
+    return best, side if side[0] else ~side

@@ -52,7 +52,16 @@ log = logging.getLogger("wellconn")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 1."""
+    """argparse with usage errors mapped to exit code 1.
+
+    Flags must be spelled out: with prefix matching, treat's `--output`
+    would silently stand for `--output-file`, which audit and eval spell
+    `--output` for their report.
+    """
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -58,14 +58,6 @@ def global_min_cut(g: Graph) -> CutResult:
     return CutResult(int(value), side)
 
 
-def min_cut_value_and_side(indptr: np.ndarray, adj: np.ndarray) -> tuple[int, np.ndarray]:
-    """CSR-level entry point used by the treatment and audit engines."""
-    value, side = _kernels.min_cut_csr(indptr, adj)
-    if value < 0:
-        raise ContractViolation("min cut requires a connected graph")
-    return int(value), side
-
-
 def brute_force_min_cut(g: Graph) -> CutResult:
     """Exhaustive minimum cut over all bipartitions; test oracle for n <= 16.
 

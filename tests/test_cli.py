@@ -135,9 +135,20 @@ class TestTreat:
              "--mode", "wcc", "--output-file", tmp_path / "out.tsv"]
         ) == 1
 
-    def test_usage_error_exit_1(self):
+    def test_usage_error_exit_1(self, tmp_path, gadget_files, capsys):
         assert run(["treat", "--mode", "wcc"]) == 1
         assert run(["bogus-subcommand"]) == 1
+        # no prefix matching: --output is not taken for --output-file
+        g, edgelist, planted, whole = gadget_files
+        capsys.readouterr()
+        assert run(
+            ["treat", "--edgelist", edgelist, "--existing-clustering", whole,
+             "--mode", "wcc", "--output-file", tmp_path / "o.tsv",
+             "--output", tmp_path / "o.json"]
+        ) == 1
+        assert "usage:" in capsys.readouterr().err
+        assert not (tmp_path / "o.tsv").exists()
+        assert not (tmp_path / "o.json").exists()
 
     def test_external_failure_exit_2(self, tmp_path, gadget_files):
         g, edgelist, planted, whole = gadget_files

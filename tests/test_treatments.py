@@ -1,5 +1,6 @@
 """CC, WCC, and CM treatments: examples, invariants, reference equivalence."""
 
+import hashlib
 import multiprocessing
 import random
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import wellconn as w
+from wellconn.cli import main
 from conftest import (
     assert_valid_partition,
     clique_edges,
@@ -202,6 +204,28 @@ class TestWCC:
         serial = w.wcc_treatment(g, c, threshold)
         assert w.wcc_treatment(g, c, threshold, processes=8) == serial
         assert started == [2]
+
+    def test_treated_file_pinned(self, tmp_path):
+        # each input cluster is two planted blocks sharing few edges; the run
+        # makes two exact cuts besides its peels. The digest pins the output
+        # bytes: which side each cut and peel takes, which no value test sees.
+        g, truth = w.generate(w.GadgetSpec(
+            kind="planted-partition-lite", sizes=(40, 40, 60, 60, 80, 80),
+            p_in=0.25, p_out=0.0008, seed=11,
+        ))
+        w.write_edgelist(g, tmp_path / "net.tsv")
+        w.write_clustering(
+            w.Clustering.from_assignment(truth.assignment // 2), g, tmp_path / "gt.tsv"
+        )
+        out = tmp_path / "out.tsv"
+        assert main(
+            ["treat", "--edgelist", str(tmp_path / "net.tsv"),
+             "--existing-clustering", str(tmp_path / "gt.tsv"),
+             "--mode", "wcc", "--threshold", "1log10", "--output-file", str(out)]
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "c35a07b6c38ab905c4e7909756becc89beca0ea6ffba6c8456b78cf0d94b5e23"
+        )
 
 
 class TestCM:
