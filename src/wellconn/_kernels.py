@@ -10,7 +10,6 @@ lists taken with `.tolist()`, with `heapq` as the priority queue.
 from __future__ import annotations
 
 import heapq
-import math
 
 import numpy as np
 
@@ -61,23 +60,15 @@ def induced_csr(indptr, adj, nodes, mark):
     return sub_indptr, local[inside].astype(np.int32)
 
 
-def _bound(kind_code, coefficient, size):
-    # 0: multiple of log10(size), 1: constant, 2: connectivity only
-    if kind_code == 0:
-        return coefficient * math.log10(size)
-    if kind_code == 1:
-        return coefficient
-    return 0.0
-
-
-def low_degree_peel(indptr, adj, kind_code, coefficient):
+def low_degree_peel(indptr, adj, bound_of):
     """Strip minimum-degree vertices while their star alone breaks the bound.
 
-    While the minimum degree d of the current piece satisfies d <= f(size),
-    the piece cannot be well-connected (its min cut is at most d), and the
-    star of the lowest-index minimum-degree vertex is a small cut; strip that
-    vertex and continue. Stops once the minimum degree exceeds the bound, a
-    single-edge cut would already satisfy it, or one vertex remains.
+    `bound_of(size)` is the bound f(size). While the minimum degree d of the
+    current piece satisfies d <= f(size), the piece cannot be well-connected
+    (its min cut is at most d), and the star of the lowest-index
+    minimum-degree vertex is a small cut; strip that vertex and continue.
+    Stops once the minimum degree exceeds the bound, a single-edge cut would
+    already satisfy it, or one vertex remains.
 
     Returns (alive, peeled, n_peeled): a liveness mask over local ids and the
     strip order. Isolated vertices are never stripped; a disconnected
@@ -94,7 +85,7 @@ def low_degree_peel(indptr, adj, kind_code, coefficient):
     peeled = []
     size = n
     while size >= 2:
-        bound = _bound(kind_code, coefficient, size)
+        bound = bound_of(size)
         if 1.0 > bound:
             break
         # drop stale entries and vertices isolated in the remainder (those

@@ -14,6 +14,7 @@ import json
 import logging
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,9 @@ from . import __version__
 from .audit import connectivity_audit
 from .clustering import (
     ThresholdSpec,
+    admit,
     cluster_stats,
-    clustering_from_pairs,
+    clustering_from_membership,
     load_clustering,
     read_membership,
     write_clustering,
@@ -31,7 +33,7 @@ from .clustering import (
 from .dl import dl_diff, load_components, pe_for_clustering
 from .errors import ContractViolation, ExternalClustererError, WellconnError
 from .gadgets import GadgetSpec, generate, parse_sizes
-from .graph import induced_subgraph, load_edgelist, write_edgelist
+from .graph import Graph, induced_subgraph, load_edgelist, write_edgelist, write_lines
 from .metrics import (
     LOG_BASE,
     NMI_NORMALIZATION,
@@ -95,11 +97,7 @@ def _jsonable(value):
 def _write_document(target: str | None, manifest: dict, payload: dict) -> None:
     doc = {"manifest": _jsonable(manifest), "payload": _jsonable(payload)}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if target is None or target == "-":
-        sys.stdout.write(text)
-    else:
-        with open(target, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    write_lines(sys.stdout if target in (None, "-") else target, [text])
 
 
 def _manifest(subcommand: str, inputs: dict[str, str], options: dict, started: float) -> dict:
@@ -216,17 +214,17 @@ def _cmd_audit(args) -> int:
         mincut_size_cap=args.mincut_cap,
     )
     if args.per_cluster_table:
-        with open(args.per_cluster_table, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(
-                "cluster_id\tsize\tconnected\tmin_cut\tcategory"
-                "\tthreshold_bound\tat_boundary\n"
-            )
-            for rec in report.clusters:
-                cut = "" if rec.min_cut is None else str(rec.min_cut)
-                fh.write(
-                    f"{rec.cluster_id}\t{rec.size}\t{rec.connected}\t{cut}"
-                    f"\t{rec.category}\t{rec.threshold_bound!r}\t{rec.at_boundary}\n"
-                )
+        header = (
+            "cluster_id\tsize\tconnected\tmin_cut\tcategory"
+            "\tthreshold_bound\tat_boundary\n"
+        )
+        rows = (
+            f"{rec.cluster_id}\t{rec.size}\t{rec.connected}"
+            f"\t{'' if rec.min_cut is None else rec.min_cut}"
+            f"\t{rec.category}\t{rec.threshold_bound!r}\t{rec.at_boundary}\n"
+            for rec in report.clusters
+        )
+        write_lines(args.per_cluster_table, chain([header], rows))
     manifest = _manifest(
         "audit",
         {"edgelist": args.edgelist, "clustering": args.clustering},
@@ -242,58 +240,49 @@ def _cmd_audit(args) -> int:
 
 
 def _universe_for_eval(args):
-    """Assemble a shared node universe for the two membership files."""
-    truth_pairs = read_membership(args.ground_truth)
-    est_pairs = read_membership(args.estimated)
-    truth_map = dict(truth_pairs)
-    est_map = dict(est_pairs)
-    graph = None
-    restricted = {"restricted": False, "dropped_truth": 0, "dropped_estimated": 0}
+    """The shared node universe of the two membership files, and their clusterings.
+
+    It holds the graph's nodes (none without --edgelist), then the labels the
+    files add. --restrict-common keeps the nodes of the graph, or without one
+    the labels of both files, that both files name.
+    """
+    truth_map = read_membership(args.ground_truth)
+    est_map = read_membership(args.estimated)
     if args.edgelist:
         graph, _ = load_edgelist(args.edgelist)
-        extra = [
-            lab
-            for lab in dict.fromkeys(list(truth_map) + list(est_map))
-            if lab not in graph.label_index()
-        ]
-        if args.restrict_common:
-            keep = set(graph.labels) & set(truth_map) & set(est_map)
-            restricted = {
-                "restricted": True,
-                "dropped_truth": len(truth_map) - len(keep & set(truth_map)),
-                "dropped_estimated": len(est_map) - len(keep & set(est_map)),
-            }
-            sub_nodes = [graph.label_index()[lab] for lab in keep]
-            graph, _ = induced_subgraph(graph, sub_nodes)
-            labels = graph.labels
-        else:
-            graph = graph.with_isolated(extra)
-            labels = graph.labels
+        restrict = args.restrict_common
     else:
-        t_set, e_set = set(truth_map), set(est_map)
-        if t_set != e_set:
-            if not args.restrict_common:
-                raise ContractViolation(
-                    "clustering files cover different node sets "
-                    f"({len(t_set)} vs {len(e_set)} labels); "
-                    "pass --restrict-common to use the intersection"
-                )
-            keep = t_set & e_set
-            restricted = {
-                "restricted": True,
-                "dropped_truth": len(t_set) - len(keep),
-                "dropped_estimated": len(e_set) - len(keep),
-            }
-            # deterministic universe order: truth-file first appearance
-            labels = [lab for lab, _ in truth_pairs if lab in keep]
-        else:
-            labels = [lab for lab, _ in truth_pairs]
-    if not labels:
+        graph = Graph.from_edges(0, [])
+        restrict = truth_map.keys() != est_map.keys()
+        if restrict and not args.restrict_common:
+            raise ContractViolation(
+                "clustering files cover different node sets "
+                f"({len(truth_map)} vs {len(est_map)} labels); "
+                "pass --restrict-common to use the intersection"
+            )
+    sizes = len(truth_map), len(est_map)
+    if restrict:
+        # deterministic universe order: the graph's, or truth-file first appearance
+        keep = [
+            lab
+            for lab in (graph.labels if args.edgelist else truth_map)
+            if lab in truth_map and lab in est_map
+        ]
+        if args.edgelist:
+            index = graph.label_index()
+            graph, _ = induced_subgraph(graph, [index[lab] for lab in keep])
+        truth_map = {lab: truth_map[lab] for lab in keep}
+        est_map = {lab: est_map[lab] for lab in keep}
+    graph, index = admit(graph, truth_map, est_map)
+    if not index:
         raise ContractViolation("evaluation universe is empty")
-
-    index = {lab: i for i, lab in enumerate(labels)}
-    truth = clustering_from_pairs(truth_pairs, index)
-    return truth, clustering_from_pairs(est_pairs, index), graph, restricted
+    restricted = {
+        "restricted": restrict,
+        "dropped_truth": sizes[0] - len(truth_map),
+        "dropped_estimated": sizes[1] - len(est_map),
+    }
+    truth = clustering_from_membership(truth_map, index)
+    return truth, clustering_from_membership(est_map, index), graph, restricted
 
 
 def _cmd_eval(args) -> int:
@@ -394,20 +383,17 @@ def _cmd_stats(args) -> int:
     inputs = {"clustering": args.clustering}
     if args.edgelist:
         graph, _ = load_edgelist(args.edgelist)
-        loaded = load_clustering(args.clustering, graph)
-        clustering = loaded.clustering
-        extra = {
-            "graph_nodes": loaded.graph.n,
-            "graph_edges": loaded.graph.m,
-            "missing_nodes": loaded.missing_nodes,
-            "unknown_labels": loaded.unknown_labels,
-        }
         inputs["edgelist"] = args.edgelist
     else:
-        pairs = read_membership(args.clustering)
-        index = {label: i for i, (label, _) in enumerate(pairs)}
-        clustering = clustering_from_pairs(pairs, index)
-        extra = {}
+        graph = Graph.from_edges(0, [])
+    loaded = load_clustering(args.clustering, graph)
+    clustering = loaded.clustering
+    extra = {
+        "graph_nodes": loaded.graph.n,
+        "graph_edges": loaded.graph.m,
+        "missing_nodes": loaded.missing_nodes,
+        "unknown_labels": loaded.unknown_labels,
+    } if args.edgelist else {}
     stats = cluster_stats(clustering)
     payload = {
         "nodes": clustering.n,
@@ -558,7 +544,7 @@ def main(argv=None) -> int:
     except WellconnError as exc:
         print(f"wellconn: error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"wellconn: error: {exc}", file=sys.stderr)
         return 1
 

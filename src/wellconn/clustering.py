@@ -15,9 +15,8 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from . import _kernels
 from .errors import ClusteringParseError, ContractViolation, UniverseMismatch
-from .graph import Graph, _open_text, split_by_label
+from .graph import Graph, _open_text, split_by_label, write_lines
 
 
 class Clustering:
@@ -97,10 +96,10 @@ class ThresholdSpec:
     kind: str
     coefficient: float = 1.0
 
-    KIND_CODES = {"log10-multiple": 0, "constant": 1, "connectivity-only": 2}
+    KINDS = ("log10-multiple", "constant", "connectivity-only")
 
     def __post_init__(self):
-        if self.kind not in self.KIND_CODES:
+        if self.kind not in self.KINDS:
             raise ContractViolation(f"unknown threshold kind: {self.kind!r}")
         if not math.isfinite(self.coefficient) or self.coefficient < 0:
             raise ContractViolation(
@@ -108,15 +107,15 @@ class ThresholdSpec:
                 f"got {self.coefficient}"
             )
 
-    @property
-    def kind_code(self) -> int:
-        return self.KIND_CODES[self.kind]
-
     def value(self, size: int) -> float:
         """The bound f(size) for a cluster of the given current size."""
         if size < 1:
             raise ContractViolation("cluster size must be at least 1")
-        return _kernels._bound(self.kind_code, self.coefficient, size)
+        if self.kind == "log10-multiple":
+            return self.coefficient * math.log10(size)
+        if self.kind == "constant":
+            return self.coefficient
+        return 0.0
 
     @classmethod
     def parse(cls, text: str) -> "ThresholdSpec":
@@ -225,15 +224,14 @@ class ClusteringLoadResult:
     missing_nodes: int
 
 
-def read_membership(source: str | Path | IO) -> list[tuple[str, str]]:
-    """Parse `node-label <tab> cluster-token` lines into (label, token) pairs.
+def read_membership(source: str | Path | IO) -> dict[str, str]:
+    """Parse `node-label <tab> cluster-token` lines into a label -> token map.
 
-    Repeated identical assignments collapse; conflicting ones raise.
+    Labels keep their order of first appearance. Repeated identical
+    assignments collapse; conflicting ones raise.
     """
-    stream, owned = _open_text(source)
-    try:
-        seen: dict[str, tuple[str, int]] = {}
-        pairs: list[tuple[str, str]] = []
+    membership: dict[str, str] = {}
+    with _open_text(source) as stream:
         for line_no, raw in enumerate(stream, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line.strip():
@@ -244,35 +242,44 @@ def read_membership(source: str | Path | IO) -> list[tuple[str, str]]:
                     line_no, f"expected two tab-separated tokens, got {line!r}"
                 )
             label, token = parts
-            if label in seen:
-                prev_token, prev_line = seen[label]
-                if prev_token != token:
-                    raise ClusteringParseError(
-                        line_no,
-                        f"node {label!r} assigned to conflicting clusters "
-                        f"(lines {prev_line} and {line_no})",
-                    )
-                continue
-            seen[label] = (token, line_no)
-            pairs.append((label, token))
-    finally:
-        if owned:
-            stream.close()
-    return pairs
+            known = membership.setdefault(label, token)
+            if known != token:
+                raise ClusteringParseError(
+                    line_no,
+                    f"node {label!r} assigned to conflicting clusters "
+                    f"{known!r} and {token!r}",
+                )
+    return membership
 
 
-def clustering_from_pairs(
-    pairs: Iterable[tuple[str, str]], label_index: dict[str, int]
+def admit(g: Graph, *memberships: dict[str, str]) -> tuple[Graph, dict[str, int]]:
+    """The graph extended by every label the memberships name outside it.
+
+    The added labels become degree-0 nodes after the graph's own, in order
+    of first appearance, one membership after another. Returns the graph
+    (`g` itself when nothing is added) and its label index.
+    """
+    index = g.label_index()
+    extra = dict.fromkeys(lab for m in memberships for lab in m if lab not in index)
+    if not extra:
+        return g, index
+    # the extended graph's index, without building and caching it anew
+    extra_index = {lab: g.n + i for i, lab in enumerate(extra)}
+    return g.with_isolated(list(extra)), {**index, **extra_index}
+
+
+def clustering_from_membership(
+    membership: dict[str, str], label_index: dict[str, int]
 ) -> Clustering:
-    """Canonical Clustering of the nodes in `label_index` from (label, token) pairs.
+    """Canonical Clustering of the nodes in `label_index` from a membership map.
 
-    Nodes that share a token share a cluster; nodes no pair names become
-    singletons; pairs whose label is not in `label_index` are skipped.
+    Nodes that share a token share a cluster; nodes the map does not name
+    become singletons; labels that are not in `label_index` are skipped.
     """
     nodes: list[int] = []
     token_ids: list[int] = []
     tokens: dict[str, int] = {}
-    for label, token in pairs:
+    for label, token in membership.items():
         node = label_index.get(label)
         if node is not None:
             nodes.append(node)
@@ -286,19 +293,14 @@ def clustering_from_pairs(
 
 def load_clustering(source: str | Path | IO, g: Graph) -> ClusteringLoadResult:
     """Read `node-label <tab> cluster-token` lines into a canonical Clustering."""
-    pairs = read_membership(source)
-    label_index = g.label_index()
-    extra_labels = [label for label, _ in pairs if label not in label_index]
-    if extra_labels:
-        # the extended graph's index, without building and caching it anew
-        extra_index = {lab: g.n + i for i, lab in enumerate(extra_labels)}
-        label_index = {**label_index, **extra_index}
+    membership = read_membership(source)
+    graph, label_index = admit(g, membership)
+    unknown = graph.n - g.n
     return ClusteringLoadResult(
-        clustering=clustering_from_pairs(pairs, label_index),
-        graph=g.with_isolated(extra_labels),
-        unknown_labels=len(extra_labels),
-        # read_membership lists each label once
-        missing_nodes=g.n - (len(pairs) - len(extra_labels)),
+        clustering=clustering_from_membership(membership, label_index),
+        graph=graph,
+        unknown_labels=unknown,
+        missing_nodes=g.n - (len(membership) - unknown),
     )
 
 
@@ -308,23 +310,10 @@ def write_clustering(c: Clustering, g: Graph, target: str | Path | IO) -> None:
         raise UniverseMismatch(
             f"clustering covers {c.n} nodes but graph has {g.n}"
         )
-    stream, owned = (
-        (open(target, "w", encoding="utf-8", newline="\n"), True)
-        if isinstance(target, (str, Path))
-        else (target, False)
-    )
-    try:
-        order = sorted(range(g.n), key=g.labels.__getitem__)
-        out: list[str] = []
-        for v in order:
-            out.append(f"{g.labels[v]}\t{c.assignment[v]}\n")
-            if len(out) >= 65536:
-                stream.write("".join(out))
-                out.clear()
-        stream.write("".join(out))
-    finally:
-        if owned:
-            stream.close()
+    labels = g.labels
+    ids = c.assignment.tolist()
+    order = sorted(range(g.n), key=labels.__getitem__)
+    write_lines(target, (f"{labels[v]}\t{ids[v]}\n" for v in order))
 
 
 def clustering_to_text(c: Clustering, g: Graph) -> str:

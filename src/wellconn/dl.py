@@ -19,7 +19,7 @@ from typing import IO
 
 from .clustering import Clustering
 from .errors import ContractViolation, UnitMismatch
-from .graph import Graph
+from .graph import Graph, write_lines
 
 COMPONENT_NAMES = ("adjacency", "degrees", "partition", "edge_counts")
 
@@ -165,14 +165,14 @@ def pe_for_clustering(g: Graph, c: Clustering) -> float:
 
 def load_components(source: str | Path | IO | dict) -> DLComponents:
     """Read a component file: JSON with a unit tag and the four named terms."""
-    if isinstance(source, dict):
-        data = source
-    elif isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = json.load(source)
     try:
+        if isinstance(source, dict):
+            data = source
+        elif isinstance(source, (str, Path)):
+            with open(source, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        else:
+            data = json.load(source)
         comp = data["components"]
         return DLComponents(
             adjacency=float(comp["adjacency"]),
@@ -183,15 +183,12 @@ def load_components(source: str | Path | IO | dict) -> DLComponents:
         )
     except KeyError as exc:
         raise ContractViolation(f"component file missing key: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # not JSON, not UTF-8, not a number
+        raise ContractViolation(f"bad component file: {exc}") from exc
 
 
 def save_components(components: DLComponents, target: str | Path | IO) -> None:
     doc = {"unit": components.unit, "components": {
         name: getattr(components, name) for name in COMPONENT_NAMES
     }}
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        target.write(text)
+    write_lines(target, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])

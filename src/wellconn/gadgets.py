@@ -47,6 +47,8 @@ class GadgetSpec:
 
 def generate(spec: GadgetSpec) -> tuple[Graph, Clustering]:
     """Deterministic graph plus its planted ground-truth clustering."""
+    if spec.seed < 0:
+        raise ContractViolation(f"seed must be nonnegative, got {spec.seed}")
     if spec.kind in ("clique-ring", "bridged-cliques"):
         return _clique_ring(spec.num_cliques, spec.clique_size, spec.bridges)
     if spec.kind == "planted-partition-lite":
@@ -224,11 +226,11 @@ def parse_sizes(text: str) -> tuple[int, ...]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if "x" in chunk:
-            size_text, count_text = chunk.split("x", 1)
-            size, count = int(size_text), int(count_text)
-        else:
-            size, count = int(chunk), 1
+        size_text, times, count_text = chunk.partition("x")
+        try:
+            size, count = int(size_text), int(count_text) if times else 1
+        except ValueError:
+            raise ContractViolation(f"bad size spec chunk: {chunk!r}") from None
         if size < 1 or count < 1:
             raise ContractViolation(f"bad size spec chunk: {chunk!r}")
         sizes.extend([size] * count)

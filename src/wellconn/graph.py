@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import io
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -117,10 +118,7 @@ class Graph:
             arr = arr.reshape(0, 2)
         u = arr[:, 0].astype(np.int64)
         v = arr[:, 1].astype(np.int64)
-        if num_nodes and (
-            (u.size and (u.min() < 0 or u.max() >= num_nodes))
-            or (v.size and (v.min() < 0 or v.max() >= num_nodes))
-        ):
+        if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= num_nodes):
             raise ContractViolation("edge endpoint out of range")
         indptr, adj = _build_csr(num_nodes, u, v)
         if labels is None:
@@ -149,16 +147,16 @@ def _build_csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.nda
     return indptr, adj
 
 
-def _open_text(source: str | Path | IO) -> tuple[IO, bool]:
-    """Normalize path / bytes / stream inputs to a readable text stream."""
+def _open_text(source: str | Path | IO) -> IO:
+    """Normalize path / bytes / stream inputs to a text stream the caller closes."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
+        return open(source, "r", encoding="utf-8", newline="")
     if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8")), True
+        return io.StringIO(source.decode("utf-8"))
     data = source.read()
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    return io.StringIO(data), True
+    return io.StringIO(data)
 
 
 def load_edgelist(
@@ -171,8 +169,7 @@ def load_edgelist(
     Labels are indexed in first-appearance order; a self-loop on an otherwise
     unseen label does not create a node.
     """
-    stream, owned = _open_text(source)
-    try:
+    with _open_text(source) as stream:
         index: dict[str, int] = {}
         us: list[int] = []
         vs: list[int] = []
@@ -196,9 +193,6 @@ def load_edgelist(
             ib = index.setdefault(b, len(index))
             us.append(ia)
             vs.append(ib)
-    finally:
-        if owned:
-            stream.close()
 
     n = len(index)
     u = np.asarray(us, dtype=np.int64)
@@ -217,26 +211,27 @@ def load_edgelist(
     return Graph(indptr, adj, labels), report
 
 
-def write_edgelist(g: Graph, target: str | Path | IO, delimiter: str = "\t") -> None:
-    """Write each edge once as `label_u<delim>label_v`, ordered by index pair."""
-    stream, owned = (
-        (open(target, "w", encoding="utf-8", newline="\n"), True)
-        if isinstance(target, (str, Path))
-        else (target, False)
-    )
+def write_lines(target: str | Path | IO, lines: Iterable[str]) -> None:
+    """Write `lines` to a path (UTF-8, LF endings) or to an open text stream."""
+    owned = isinstance(target, (str, Path))
+    stream = open(target, "w", encoding="utf-8", newline="\n") if owned else target
     try:
-        labels = g.labels
-        u, v = g.edge_arrays()
-        out: list[str] = []
-        for a, b in zip(u.tolist(), v.tolist()):
-            out.append(f"{labels[a]}{delimiter}{labels[b]}\n")
-            if len(out) >= 65536:
-                stream.write("".join(out))
-                out.clear()
-        stream.write("".join(out))
+        lines = iter(lines)
+        while batch := "".join(islice(lines, 65536)):
+            stream.write(batch)
     finally:
         if owned:
             stream.close()
+
+
+def write_edgelist(g: Graph, target: str | Path | IO, delimiter: str = "\t") -> None:
+    """Write each edge once as `label_u<delim>label_v`, ordered by index pair."""
+    labels = g.labels
+    u, v = g.edge_arrays()
+    write_lines(
+        target,
+        (f"{labels[a]}{delimiter}{labels[b]}\n" for a, b in zip(u.tolist(), v.tolist())),
+    )
 
 
 def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, dict[int, int]]:

@@ -32,7 +32,7 @@ from ._engine import map_clusters
 from .clustering import (
     Clustering,
     ThresholdSpec,
-    clustering_from_pairs,
+    clustering_from_membership,
     read_membership,
 )
 from .errors import (
@@ -140,16 +140,16 @@ class ExternalClusterer:
                     f"command {argv[0]!r} wrote no output file"
                 )
             try:
-                pairs = read_membership(out_path)
+                membership = read_membership(out_path)
             except ClusteringParseError as exc:
                 raise ExternalClustererError(f"external output: {exc}") from None
             label_index = graph.label_index()
-            for label, _ in pairs:
+            for label in membership:
                 if label not in label_index:
                     raise ExternalClustererError(
                         f"external output names unknown node {label!r}: not a partition"
                     )
-            return clustering_from_pairs(pairs, label_index)
+            return clustering_from_membership(membership, label_index)
 
 
 def parse_clusterer(text: str):
@@ -249,9 +249,7 @@ def _process_cluster(
         if fast:
             degree_min = int(np.min(np.diff(si)))
             if degree_min <= bound:
-                alive, peeled, count = _kernels.low_degree_peel(
-                    si, sa, t.kind_code, t.coefficient
-                )
+                alive, peeled, count = _kernels.low_degree_peel(si, sa, t.value)
                 if count > 0:  # guard: an empty batch must not re-enqueue
                     cuts += count
                     for i in range(count):

@@ -207,6 +207,42 @@ class TestTreat:
         assert "treatment" in text
 
 
+@pytest.mark.parametrize("case", [
+    "sizes-not-a-number", "negative-seed", "edgelist-is-directory",
+    "edgelist-not-utf8", "components-not-json", "components-term-not-a-number",
+])
+def test_bad_input_exit_1_without_traceback(tmp_path, capsys, case):
+    (tmp_path / "c.tsv").write_text("a\tx\nb\tx\n")
+    (tmp_path / "latin1.tsv").write_bytes("caf\xe9\tb\n".encode("latin-1"))
+    (tmp_path / "before.json").write_text("not json\n")
+    (tmp_path / "nan.json").write_text(
+        '{"components": {"adjacency": "many", "degrees": 1, "partition": 1,'
+        ' "edge_counts": 1}}\n'
+    )
+    w.save_components(w.DLComponents(1, 1, 1, 1), tmp_path / "after.json")
+    gen = ["generate", "--edgelist-out", tmp_path / "n.tsv",
+           "--clustering-out", tmp_path / "g.tsv"]
+    argv = {
+        "sizes-not-a-number": gen + ["--kind", "planted-partition-lite", "--sizes", "abc"],
+        "negative-seed": gen + ["--kind", "random-gnp", "--seed", "-1"],
+        "edgelist-is-directory": ["stats", "--clustering", tmp_path / "c.tsv",
+                                  "--edgelist", tmp_path],
+        "edgelist-not-utf8": ["stats", "--clustering", tmp_path / "c.tsv",
+                              "--edgelist", tmp_path / "latin1.tsv"],
+        "components-not-json": ["dl", "--components-before", tmp_path / "before.json",
+                                "--components-after", tmp_path / "after.json"],
+        "components-term-not-a-number": [
+            "dl", "--components-before", tmp_path / "nan.json",
+            "--components-after", tmp_path / "after.json"],
+    }[case]
+    capsys.readouterr()
+    assert run(argv + ["--output", tmp_path / "out.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wellconn: error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
 class TestAudit:
     def test_audit_wcc_output_all_well(self, tmp_path, gadget_files):
         g, edgelist, planted, whole = gadget_files
@@ -514,3 +550,131 @@ class TestManifest:
                  "--output", rep])
             reps.append(json.dumps(payload_of(rep), sort_keys=True))
         assert reps[0] == reps[1]
+
+
+# Membership files that name labels outside the graph (x, y, z), a graph
+# node that only the estimate names (f), and a repeated identical line.
+# The expected payloads and table below were recorded before the universe
+# rule had one implementation, and pin it on every eval and stats branch.
+PIN_NET = "a\tb\nb\tc\nc\ta\nc\td\nd\te\ne\tf\nf\td\n"
+PIN_TRUTH = "a\tT0\nb\tT0\nc\tT0\na\tT0\nd\tT1\ne\tT1\nx\tT2\ny\tT2\n"
+PIN_EST = "b\tE0\na\tE0\nc\tE1\nd\tE1\ne\tE1\nf\tE1\nz\tE2\ny\tE2\n"
+PIN_SAME = "y\tS0\nx\tS1\ne\tS1\nd\tS0\nc\tS2\nb\tS2\na\tS2\n"
+SAME_SCORES = {
+    "ari": 0.475,
+    "nmi": 0.6329129160661657,
+    "rmi": 0.36028053105738084,
+    "rmi_unnormalized": 0.3218201089235765,
+}
+
+
+def eval_payload(scores, universe, dropped=None):
+    """An eval payload; `dropped` = (truth, estimated) marks a restricted run."""
+    truth, est = dropped or (0, 0)
+    return {
+        "metadata": {
+            "dropped_estimated": est,
+            "dropped_truth": truth,
+            "log_base": 2,
+            "nmi_normalization": "arithmetic-mean",
+            "restricted": dropped is not None,
+            "rmi_normalized": True,
+            "rmi_table_count_method": "exact-enumeration",
+            "universe_nodes": universe,
+        },
+        "scores": scores,
+    }
+
+
+class TestUniversePins:
+    @pytest.fixture
+    def files(self, tmp_path):
+        paths = {}
+        for name, text in (("net", PIN_NET), ("truth", PIN_TRUTH),
+                           ("est", PIN_EST), ("same", PIN_SAME)):
+            paths[name] = tmp_path / f"{name}.tsv"
+            paths[name].write_text(text)
+        return paths
+
+    @pytest.mark.parametrize("estimated, extra, expected", [
+        ("est", ["--edgelist", "net"], eval_payload({
+            "agri": -0.5217391304347826,
+            "ari": 0.16494845360824742,
+            "nmi": 0.6486621050971706,
+            "rmi": 0.33261833294536275,
+        }, 9)),
+        ("est", ["--edgelist", "net", "--restrict-common"], eval_payload({
+            "agri": -0.36363636363636365,
+            "ari": 0.16666666666666666,
+            "nmi": 0.43253806776631265,
+            "rmi": 0.15747277199211226,
+        }, 5, dropped=(2, 3))),
+        ("same", ["--metrics", "nmi,ari,rmi,rmi_unnormalized"],
+         eval_payload(SAME_SCORES, 7)),
+        ("same", ["--metrics", "nmi,ari,rmi,rmi_unnormalized", "--restrict-common"],
+         eval_payload(SAME_SCORES, 7)),
+        ("est", ["--metrics", "nmi,ari,rmi,rmi_unnormalized", "--restrict-common"],
+         eval_payload({
+             "ari": 0.3181818181818182,
+             "nmi": 0.6853314789615865,
+             "rmi": 0.4671320180863541,
+             "rmi_unnormalized": 0.4025062498798073,
+         }, 6, dropped=(1, 2))),
+    ], ids=["edgelist", "edgelist-restrict", "same-sets", "same-sets-restrict",
+            "different-sets-restrict"])
+    def test_eval_payload(self, tmp_path, files, estimated, extra, expected):
+        out = tmp_path / "s.json"
+        argv = ["eval", "--ground-truth", files["truth"], "--estimated", files[estimated]]
+        argv += [files.get(tok, tok) for tok in extra]
+        assert run(argv + ["--output", out]) == 0
+        assert payload_of(out) == expected
+
+    def test_eval_different_sets_exit_1(self, tmp_path, files, capsys):
+        out = tmp_path / "s.json"
+        assert run(["eval", "--ground-truth", files["truth"],
+                    "--estimated", files["est"], "--metrics", "nmi",
+                    "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            "wellconn: error: clustering files cover different node sets "
+            "(7 vs 8 labels); pass --restrict-common to use the intersection\n"
+        )
+        assert not out.exists()
+
+    def test_stats_payload(self, tmp_path, files):
+        out = tmp_path / "s.json"
+        summary = {
+            "max_nonsingleton_size": 3,
+            "median_nonsingleton_size": 2.0,
+            "non_singleton_count": 3,
+        }
+        assert run(["stats", "--clustering", files["truth"], "--output", out]) == 0
+        assert payload_of(out) == {
+            **summary, "clusters": 3, "node_coverage": 100.0, "nodes": 7,
+            "singletons": 0,
+        }
+        assert run(["stats", "--clustering", files["truth"],
+                    "--edgelist", files["net"], "--output", out]) == 0
+        assert payload_of(out) == {
+            **summary, "clusters": 4, "node_coverage": 87.5, "nodes": 8,
+            "singletons": 1, "graph_edges": 7, "graph_nodes": 8,
+            "missing_nodes": 1, "unknown_labels": 2,
+        }
+
+    def test_per_cluster_table_bytes(self, tmp_path, files):
+        table = tmp_path / "table.tsv"
+        out = tmp_path / "r.json"
+        assert run(["audit", "--edgelist", files["net"], "--clustering", files["truth"],
+                    "--per-cluster-table", table, "--output", out]) == 0
+        assert table.read_bytes() == (
+            b"cluster_id\tsize\tconnected\tmin_cut\tcategory\tthreshold_bound\tat_boundary\n"
+            b"0\t3\tTrue\t2\twell\t0.47712125471966244\tFalse\n"
+            b"1\t2\tTrue\t1\twell\t0.3010299956639812\tFalse\n"
+            b"2\t1\tTrue\t\tsingleton\t0.0\tFalse\n"
+            b"3\t2\tFalse\t\tdisconnected\t0.3010299956639812\tFalse\n"
+        )
+        graph = payload_of(out)["graph"]
+        assert graph == {
+            "digest": "f10314e39bc5264b4c12e039fb5d3975777ca0a675bc274cec433937aab4d98f",
+            "edges": 7,
+            "nodes": 8,
+        }

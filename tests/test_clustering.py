@@ -33,8 +33,12 @@ class TestLoadClustering:
 
     def test_conflicting_assignment_rejected(self):
         g = triangle()
-        with pytest.raises(w.ClusteringParseError):
-            w.load_clustering(io.StringIO("a\tx\na\ty\n"), g)
+        with pytest.raises(w.ClusteringParseError) as err:
+            w.load_clustering(io.StringIO("a\tx\nb\tx\na\ty\n"), g)
+        assert err.value.line_number == 3
+        assert str(err.value) == (
+            "clustering line 3: node 'a' assigned to conflicting clusters 'x' and 'y'"
+        )
 
     def test_duplicate_consistent_assignment_allowed(self):
         g = triangle()

@@ -189,6 +189,23 @@ class TestInducedSubgraph:
         assert sub.labels == ["b", "c"]
 
 
+class TestFromEdges:
+    @pytest.mark.parametrize("n, edges", [
+        (0, [(0, 1)]),
+        (0, [(0, 0)]),
+        (2, [(0, 2)]),
+        (3, [(-1, 1)]),
+    ])
+    def test_endpoint_out_of_range_rejected(self, n, edges):
+        with pytest.raises(w.ContractViolation):
+            w.Graph.from_edges(n, edges)
+
+    def test_empty_graph(self):
+        g = w.Graph.from_edges(0, [])
+        assert (g.n, g.m, g.labels) == (0, 0, [])
+        assert g.indptr.tolist() == [0]
+
+
 class TestConnectedComponents:
     def test_triangle_single_component(self):
         g = graph_of(3, [(0, 1), (1, 2), (2, 0)])
