@@ -16,7 +16,14 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import ClusteringParseError, ContractViolation, UniverseMismatch
-from .graph import Graph, _open_text, split_by_label, write_lines
+from .graph import (
+    Graph,
+    _read_input,
+    _text_lines,
+    _two_columns,
+    split_by_label,
+    write_lines,
+)
 
 
 class Clustering:
@@ -230,25 +237,41 @@ def read_membership(source: str | Path | IO) -> dict[str, str]:
     Labels keep their order of first appearance. Repeated identical
     assignments collapse; conflicting ones raise.
     """
+    data, newline = _read_input(source)
+    if _two_columns(data) is not None:
+        flat = (data if isinstance(data, str) else data.decode("ascii")).split()
+        labels, tokens = flat[0::2], flat[1::2]
+        membership = dict(zip(labels, tokens))
+        # the map keeps each label's last token: it is the membership when
+        # every line agrees with it, and otherwise the loop names the conflict
+        if len(membership) == len(labels) or (
+            list(map(membership.__getitem__, labels)) == tokens
+        ):
+            return membership
+    return _membership_from_lines(data, newline)
+
+
+def _membership_from_lines(data: bytes | str, newline: str) -> dict[str, str]:
+    """The per-line loop of `read_membership`, for any input."""
     membership: dict[str, str] = {}
-    with _open_text(source) as stream:
-        for line_no, raw in enumerate(stream, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ClusteringParseError(
-                    line_no, f"expected two tab-separated tokens, got {line!r}"
-                )
-            label, token = parts
-            known = membership.setdefault(label, token)
-            if known != token:
-                raise ClusteringParseError(
-                    line_no,
-                    f"node {label!r} assigned to conflicting clusters "
-                    f"{known!r} and {token!r}",
-                )
+    lines = _text_lines(data, newline, ClusteringParseError)
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise ClusteringParseError(
+                line_no, f"expected two tab-separated tokens, got {line!r}"
+            )
+        label, token = parts
+        known = membership.setdefault(label, token)
+        if known != token:
+            raise ClusteringParseError(
+                line_no,
+                f"node {label!r} assigned to conflicting clusters "
+                f"{known!r} and {token!r}",
+            )
     return membership
 
 

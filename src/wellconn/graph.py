@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import _kernels
 from .errors import ContractViolation, EdgelistParseError
@@ -132,31 +133,134 @@ def _build_csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.nda
     """CSR arrays from endpoint arrays; normalizes, deduplicates, sorts rows."""
     keep = u != v
     u, v = u[keep], v[keep]
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    if lo.size:
-        keys = np.unique(lo * np.int64(n) + hi)
-        lo, hi = keys // n, keys % n
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    order = np.argsort(src * np.int64(n) + dst)
-    adj = dst[order].astype(np.int32)
-    counts = np.bincount(src, minlength=n)
+    # the distinct pairs ordered by (lo, hi): sort plus an adjacent-difference
+    # mask, as a bare np.unique takes a much slower hash path in numpy 2.4
+    keys = np.sort(np.minimum(u, v) * np.int64(n) + np.maximum(u, v))
+    del keep, u, v
+    distinct = np.empty(len(keys), bool)
+    distinct[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    lo, hi = np.divmod(keys[distinct], n)
+    del keys, distinct
+    # row r holds its lower neighbours (the pairs with hi == r), then its
+    # upper ones (lo == r), each ascending. In (lo, hi) order the i-th pair
+    # fills slot i + (lower neighbours of rows <= lo) with hi; in (hi, lo)
+    # order, slot i + (upper neighbours of rows < hi) with lo.
+    below = np.bincount(hi, minlength=n)
+    above = np.bincount(lo, minlength=n)
     indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    np.cumsum(below + above, out=indptr[1:])
+    slot = np.arange(len(lo))
+    adj = np.empty(2 * len(lo), np.int32)
+    adj[np.cumsum(below)[lo] + slot] = hi
+    row, col = np.divmod(np.sort(hi * np.int64(n) + lo), n)
+    del lo, hi
+    adj[(np.cumsum(above) - above)[row] + slot] = col
     return indptr, adj
 
 
-def _open_text(source: str | Path | IO) -> IO:
-    """Normalize path / bytes / stream inputs to a text stream the caller closes."""
+def _read_input(source: str | Path | IO) -> tuple[bytes | str, str]:
+    """The whole of `source`, and the newline mode its lines split in.
+
+    A path is read as bytes, and its lines end at LF, CR or CRLF. Bytes and
+    streams are returned as they read, and their lines end at LF alone.
+    """
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
+        with open(source, "rb") as fh:
+            return fh.read(), ""
     if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8"))
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return io.StringIO(data)
+        return bytes(source), "\n"
+    return source.read(), "\n"
+
+
+def _text_lines(data: bytes | str, newline: str, error: type) -> Iterator[str]:
+    """The lines of `data` as the per-line readers see them.
+
+    Bytes are decoded as UTF-8. At the first invalid byte, the lines before
+    its own are yielded, and then `error` is raised with its line number.
+    """
+    if isinstance(data, str):
+        yield from io.StringIO(data, newline=newline)
+        return
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
+        yield from io.StringIO(head, newline=newline)
+        raise error(
+            data.count(b"\n", 0, exc.start) + 1,
+            f"not valid UTF-8 (byte 0x{data[exc.start]:02x})",
+        ) from None
+    yield from io.StringIO(text, newline=newline)
+
+
+def _two_columns(data: bytes | str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The bytes of `data` and the end of each token, if `data` has the common shape.
+
+    The common shape is what every writer here emits: lines of two nonempty
+    tokens of printable ASCII (0x21-0x7E) split by one tab, each ending in LF
+    except perhaps the last. Anything else gives None and is left to the
+    per-line readers, which skip blank lines and raise the parse errors.
+    The end of the last token is len(data) when the final LF is missing.
+    """
+    if isinstance(data, str):
+        if not data.isascii():
+            return None
+        data = data.encode("ascii")
+    buf = np.frombuffer(data, np.uint8)
+    if buf.size == 0 or buf.max() > 0x7E:
+        return None
+    ends = np.flatnonzero(buf < 0x21)
+    if buf[-1] != 0x0A:
+        ends = np.append(ends, buf.size)
+    seps = buf[ends[:-1]]
+    if (
+        len(ends) % 2
+        or (seps[0::2] != 0x09).any()
+        or (seps[1::2] != 0x0A).any()
+        or ends[0] == 0
+        or np.diff(ends).min(initial=2) < 2
+    ):
+        return None
+    return buf, ends
+
+
+# tokens per block in _token_keys: 512 KB per 8-byte scratch array
+_PACK_BLOCK = 65536
+
+
+def _token_keys(data: bytes | str) -> np.ndarray | None:
+    """Each token of a common-shape input as a big-endian, zero-padded uint64.
+
+    None if `data` does not have the common shape or a token is longer than
+    8 bytes. Distinct tokens get distinct keys, as no token holds a zero byte.
+    """
+    shape = _two_columns(data)
+    if shape is None:
+        return None
+    buf, ends = shape
+    if buf.size < 8:
+        buf = np.concatenate([buf, np.zeros(8 - buf.size, np.uint8)])
+    # words[p] is the big-endian word of the 8 bytes from byte p on. A token
+    # in the last 7 bytes takes the last word, shifted left onto its start.
+    words = as_strided(
+        buf[:8].view(">u8"), shape=(buf.size - 7,), strides=(1,), writeable=False
+    )
+    last = buf.size - 8
+    keys = np.empty(len(ends), np.uint64)
+    for lo in range(0, len(ends), _PACK_BLOCK):
+        end = ends[lo : lo + _PACK_BLOCK]
+        start = np.empty_like(end)
+        start[0] = ends[lo - 1] + 1 if lo else 0
+        start[1:] = end[:-1] + 1
+        if (end - start).max() > 8:
+            return None
+        at = np.minimum(start, last)
+        word = words[at].astype(np.uint64) << ((start - at) * 8).astype(np.uint64)
+        # clear the bytes past the token's end
+        cut = ((8 - (end - start)) * 8).astype(np.uint64)
+        keys[lo : lo + len(end)] = word >> cut << cut
+    return keys
 
 
 def load_edgelist(
@@ -168,43 +272,90 @@ def load_edgelist(
     edges (after unordered-pair normalization) are dropped and counted.
     Labels are indexed in first-appearance order; a self-loop on an otherwise
     unseen label does not create a node.
-    """
-    with _open_text(source) as stream:
-        index: dict[str, int] = {}
-        us: list[int] = []
-        vs: list[int] = []
-        lines_read = 0
-        self_loops = 0
-        for line_no, raw in enumerate(stream, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            lines_read += 1
-            parts = line.split(delimiter)
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise EdgelistParseError(
-                    line_no, f"expected two {delimiter!r}-separated tokens, got {line!r}"
-                )
-            a, b = parts
-            if a == b:
-                self_loops += 1
-                continue
-            ia = index.setdefault(a, len(index))
-            ib = index.setdefault(b, len(index))
-            us.append(ia)
-            vs.append(ib)
 
-    n = len(index)
+    Input of the common shape (see `_two_columns`) with tab delimiters and
+    labels of at most 8 bytes is parsed in bulk; every other input goes
+    through the per-line loop, which alone raises the parse errors.
+    """
+    data, newline = _read_input(source)
+    keys = _token_keys(data) if delimiter == "\t" else None
+    if keys is None:
+        return _edgelist_from_lines(data, newline, delimiter)
+    del data
+    return _edgelist_from_keys(keys)
+
+
+def _edgelist_from_keys(keys: np.ndarray) -> tuple[Graph, IngestReport]:
+    """The graph of token keys taken two per line, as the per-line loop builds it."""
+    pairs = keys.reshape(-1, 2)
+    loops = pairs[:, 0] == pairs[:, 1]
+    lines_read, self_loops = len(pairs), int(np.count_nonzero(loops))
+    if self_loops:
+        # a label seen only in self-loops makes no node and takes no rank
+        keys = pairs[~loops].ravel()
+    del pairs, loops
+    # rank tokens by first appearance: group equal keys by one sort, then
+    # order the groups by the smallest position among their members
+    order = np.argsort(keys)
+    keys = keys[order]
+    heads = np.empty(len(keys), bool)
+    heads[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=heads[1:])
+    by_first = np.argsort(np.minimum.reduceat(order, np.flatnonzero(heads)))
+    labels = keys[heads][by_first].astype(">u8").view("S8").astype(str).tolist()
+    del keys
+    rank = np.empty(len(by_first), np.int64)
+    rank[by_first] = np.arange(len(by_first))
+    ids = np.empty(len(order), np.int64)
+    ids[order] = rank[np.cumsum(heads) - 1]
+    del order, heads, rank
+    return _ingest(labels, ids[0::2], ids[1::2], lines_read, self_loops)
+
+
+def _edgelist_from_lines(
+    data: bytes | str, newline: str, delimiter: str
+) -> tuple[Graph, IngestReport]:
+    """The per-line loop of `load_edgelist`, for any input."""
+    index: dict[str, int] = {}
+    us: list[int] = []
+    vs: list[int] = []
+    lines_read = 0
+    self_loops = 0
+    lines = _text_lines(data, newline, EdgelistParseError)
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        lines_read += 1
+        parts = line.split(delimiter)
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise EdgelistParseError(
+                line_no, f"expected two {delimiter!r}-separated tokens, got {line!r}"
+            )
+        a, b = parts
+        if a == b:
+            self_loops += 1
+            continue
+        ia = index.setdefault(a, len(index))
+        ib = index.setdefault(b, len(index))
+        us.append(ia)
+        vs.append(ib)
     u = np.asarray(us, dtype=np.int64)
     v = np.asarray(vs, dtype=np.int64)
+    del us, vs
+    return _ingest(list(index), u, v, lines_read, self_loops)
+
+
+def _ingest(
+    labels: list[str], u: np.ndarray, v: np.ndarray, lines_read: int, self_loops: int
+) -> tuple[Graph, IngestReport]:
+    n = len(labels)
     indptr, adj = _build_csr(n, u, v)
     m = len(adj) // 2
-    dupes = lines_read - self_loops - m
-    labels = list(index.keys())
     report = IngestReport(
         lines_read=lines_read,
         self_loops_dropped=self_loops,
-        duplicate_edges_dropped=dupes,
+        duplicate_edges_dropped=lines_read - self_loops - m,
         nodes=n,
         edges=m,
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import random
 
@@ -29,6 +30,13 @@ def cycle_edges(n: int) -> list[tuple[int, int]]:
 
 def star_edges(n: int) -> list[tuple[int, int]]:
     return [(0, i) for i in range(1, n)]
+
+
+def as_sources(raw: bytes, tmp_path) -> list:
+    """The same input as a path, as bytes and as a text stream."""
+    path = tmp_path / "in.tsv"
+    path.write_bytes(raw)
+    return [path, raw, io.StringIO(raw.decode("utf-8"))]
 
 
 def graph_of(n: int, edges) -> w.Graph:

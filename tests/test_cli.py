@@ -243,6 +243,22 @@ def test_bad_input_exit_1_without_traceback(tmp_path, capsys, case):
     assert not (tmp_path / "out.json").exists()
 
 
+
+@pytest.mark.parametrize("flag", ["--edgelist", "--clustering"])
+def test_non_utf8_input_names_its_line(tmp_path, capsys, flag):
+    files = {"--clustering": tmp_path / "c.tsv", "--edgelist": tmp_path / "net.tsv"}
+    files["--clustering"].write_text("a\tx\nb\tx\n")
+    files["--edgelist"].write_text("a\tb\n")
+    # Latin-1, with a byte on line 3 that cannot start a UTF-8 character
+    files[flag].write_bytes("a\tb\nb\tc\ncaf\xe9\tb\n".encode("latin-1"))
+    capsys.readouterr()
+    argv = ["stats", "--clustering", files["--clustering"], "--edgelist", files["--edgelist"]]
+    assert run(argv + ["--output", tmp_path / "out.json"]) == 1
+    assert capsys.readouterr().err == (
+        f"wellconn: error: {flag[2:]} line 3: not valid UTF-8 (byte 0xe9)\n"
+    )
+    assert not (tmp_path / "out.json").exists()
+
 class TestAudit:
     def test_audit_wcc_output_all_well(self, tmp_path, gadget_files):
         g, edgelist, planted, whole = gadget_files

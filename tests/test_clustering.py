@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wellconn as w
+from conftest import as_sources
+from wellconn import clustering
 
 
 def triangle():
@@ -224,3 +226,71 @@ class TestRefinement:
             fine = w.Clustering.from_assignment(fine_ids)
             assert w.is_refinement(fine, coarse)
             assert w.node_coverage(fine) <= w.node_coverage(coarse) + 1e-12
+
+
+def membership_outcome(source, reader=w.read_membership):
+    """What reading `source` gives: the membership items in order, or the error."""
+    try:
+        return list(reader(source).items())
+    except w.ClusteringParseError as exc:
+        return ("error", exc.line_number, str(exc))
+
+
+NO_TAB = "expected two tab-separated tokens, got "
+AB = [("a", "x"), ("b", "y")]
+
+
+class TestMembershipFallback:
+    """Each input the bulk reader leaves to the per-line loop, and its border cases.
+
+    `bulk` says whether the input has the shape the bulk reader takes; the
+    expected value is the membership items, or the line and message of the
+    error.
+    """
+
+    @pytest.mark.parametrize("raw, bulk, expected", [
+        pytest.param(b"a\tx\r\nb\ty\r\n", False, AB, id="crlf"),
+        pytest.param(b"a\tx\n\nb\ty\n", False, AB, id="blank-line"),
+        pytest.param(b"a\tx\n\x0b\t\x0c\nb\ty\n", False, AB, id="whitespace-only-line"),
+        pytest.param(b"a\tx\nby\n", False, (2, NO_TAB + "'by'"), id="no-tab"),
+        pytest.param(b"a\tx\ty\n", False, (1, NO_TAB + r"'a\tx\ty'"), id="two-tabs"),
+        pytest.param(b"a\tx\nb\t\n", False, (2, NO_TAB + r"'b\t'"), id="empty-token"),
+        pytest.param(b"abcdefghi\tx\n", True, [("abcdefghi", "x")], id="nine-byte-label"),
+        pytest.param("é\tx\n".encode(), False, [("é", "x")], id="non-ascii-label"),
+        pytest.param("a\tx\n\u00a0\nb\ty\n".encode(), False, AB, id="nbsp-line"),
+        pytest.param(b"", False, [], id="empty-file"),
+        pytest.param(b"a\tx\nb\ty", True, AB, id="no-final-lf"),
+        pytest.param(b"a\tx\nb\ty\na\tx\n", True, AB, id="repeated-assignment"),
+        pytest.param(b"a\tx\nb\tx\na\ty\n", True,
+                     (3, "node 'a' assigned to conflicting clusters 'x' and 'y'"),
+                     id="conflicting-assignment"),
+    ])
+    def test_input_shape(self, tmp_path, raw, bulk, expected):
+        assert (clustering._two_columns(raw) is not None) == bulk
+        loop = membership_outcome(
+            raw, lambda src: clustering._membership_from_lines(src, "\n")
+        )
+        for source in as_sources(raw, tmp_path):
+            got = membership_outcome(source)
+            assert got == loop
+            if isinstance(expected, tuple):
+                line, message = expected
+                assert got == ("error", line, f"clustering line {line}: {message}")
+            else:
+                assert got == expected
+
+    def test_cr_only_splits_lines_of_a_path_alone(self, tmp_path):
+        raw = b"a\tx\rb\ty\r"
+        path, data, stream = as_sources(raw, tmp_path)
+        assert membership_outcome(path) == AB
+        error = ("error", 1, "clustering line 1: " + NO_TAB + r"'a\tx\rb\ty'")
+        assert membership_outcome(data) == membership_outcome(stream) == error
+
+    def test_not_utf8_names_its_line(self, tmp_path):
+        raw = b"a\tx\n\nb\tcaf\xe9\n"
+        path = tmp_path / "in.tsv"
+        path.write_bytes(raw)
+        for source in (path, raw, io.BytesIO(raw)):
+            assert membership_outcome(source) == (
+                "error", 3, "clustering line 3: not valid UTF-8 (byte 0xe9)"
+            )

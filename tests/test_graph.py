@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wellconn as w
-from conftest import graph_of, two_cliques
+from wellconn import graph
+from conftest import as_sources, graph_of, two_cliques
 
 
 def load(text: str, delimiter: str = "\t"):
@@ -246,3 +247,97 @@ class TestConnectedComponents:
         assert seen.all()
         for u, v in g.edges():
             assert label[u] == label[v]
+
+
+def outcome(source, reader=w.load_edgelist):
+    """What reading `source` gives: labels, CSR and report, or the error."""
+    try:
+        g, rep = reader(source)
+    except w.EdgelistParseError as exc:
+        return ("error", exc.line_number, str(exc))
+    return (g.labels, g.indptr.tolist(), g.adj.tolist(), rep)
+
+
+NO_TAB = r"expected two '\t'-separated tokens, got "
+
+
+class TestIngestFallback:
+    """Each input the bulk parser leaves to the per-line loop, and its border cases.
+
+    `bulk` says whether the bulk parser takes the input; the expected value
+    is the labels and the report, or the line and message of the error.
+    """
+
+    @pytest.mark.parametrize("raw, bulk, expected", [
+        pytest.param(b"a\tb\r\nb\tc\r\n", False,
+                     (["a", "b", "c"], w.IngestReport(2, 0, 0, 3, 2)), id="crlf"),
+        pytest.param(b"a\tb\n\nb\tc\n", False,
+                     (["a", "b", "c"], w.IngestReport(2, 0, 0, 3, 2)), id="blank-line"),
+        pytest.param(b"a\tb\n\x0b\t\x0c\nb\tc\n", False,
+                     (["a", "b", "c"], w.IngestReport(2, 0, 0, 3, 2)),
+                     id="whitespace-only-line"),
+        pytest.param(b"a\tb\nab\n", False, (2, NO_TAB + "'ab'"), id="no-tab"),
+        pytest.param(b"a\tb\tc\n", False, (1, NO_TAB + r"'a\tb\tc'"), id="two-tabs"),
+        pytest.param(b"a\tb\n\tc\n", False, (2, NO_TAB + r"'\tc'"), id="empty-token"),
+        pytest.param(b"abcdefghi\tb\nb\tabcdefgh\n", False,
+                     (["abcdefghi", "b", "abcdefgh"], w.IngestReport(2, 0, 0, 3, 2)),
+                     id="nine-byte-label"),
+        pytest.param("é\tb\n".encode(), False,
+                     (["é", "b"], w.IngestReport(1, 0, 0, 2, 1)), id="non-ascii-label"),
+        pytest.param("a\tb\n\u00a0\nb\tc\n".encode(), False,
+                     (["a", "b", "c"], w.IngestReport(2, 0, 0, 3, 2)), id="nbsp-line"),
+        pytest.param(b"", False, ([], w.IngestReport(0, 0, 0, 0, 0)), id="empty-file"),
+        pytest.param(b"a\tb\nb\tc", True,
+                     (["a", "b", "c"], w.IngestReport(2, 0, 0, 3, 2)), id="no-final-lf"),
+        pytest.param(b"q\tq\na\tb\nq\tq\nb\ta\n", True,
+                     (["a", "b"], w.IngestReport(4, 2, 1, 2, 1)),
+                     id="label-only-in-self-loops"),
+    ])
+    def test_input_shape(self, tmp_path, raw, bulk, expected):
+        assert (graph._token_keys(raw) is not None) == bulk
+        loop = outcome(raw, lambda src: graph._edgelist_from_lines(src, "\n", "\t"))
+        for source in as_sources(raw, tmp_path):
+            got = outcome(source)
+            assert got == loop
+            if got[0] == "error":
+                line, message = expected
+                assert got[1:] == (line, f"edgelist line {line}: {message}")
+            else:
+                assert (got[0], got[3]) == expected
+
+    def test_cr_only_splits_lines_of_a_path_alone(self, tmp_path):
+        raw = b"a\tb\rb\tc\r"
+        assert graph._token_keys(raw) is None
+        path, data, stream = as_sources(raw, tmp_path)
+        g, rep = w.load_edgelist(path)
+        assert (g.labels, rep) == (["a", "b", "c"], w.IngestReport(2, 0, 0, 3, 2))
+        error = ("error", 1, "edgelist line 1: " + NO_TAB + r"'a\tb\rb\tc'")
+        assert outcome(data) == outcome(stream) == error
+
+    def test_not_utf8_names_its_line(self, tmp_path):
+        raw = b"a\tb\ncaf\xe9\tb\n"
+        path = tmp_path / "in.tsv"
+        path.write_bytes(raw)
+        for source in (path, raw, io.BytesIO(raw)):
+            assert outcome(source) == (
+                "error", 2, "edgelist line 2: not valid UTF-8 (byte 0xe9)"
+            )
+        # a bad line before the bad byte is named first
+        assert outcome(b"ab\ncaf\xe9\tb\n") == (
+            "error", 1, "edgelist line 1: " + NO_TAB + "'ab'"
+        )
+
+    def test_csr_matches_pair_sort(self):
+        # the CSR build against the plain definition: rows of the sorted,
+        # distinct neighbours of each node, self-loops dropped
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            u, v = rng.integers(0, n, (2, int(rng.integers(0, 200))))
+            indptr, adj = graph._build_csr(n, u, v)
+            rows = [sorted({int(b) for a, b in zip(u, v) if a == r and b != r}
+                           | {int(a) for a, b in zip(u, v) if b == r and a != r})
+                    for r in range(n)]
+            assert adj.dtype == np.int32 and indptr.dtype == np.int64
+            assert indptr.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()
+            assert adj.tolist() == [x for r in rows for x in r]

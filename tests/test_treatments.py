@@ -330,6 +330,37 @@ class TestExternalClusterer:
             with pytest.raises(w.ExternalClustererError):
                 w.cm_treatment(g, one_cluster(g), threshold, clusterer)
 
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_failure_names_the_input_cluster(self, tmp_path, capsys, processes):
+        # four 6-cliques in a ring, clustered in two pairs; each cluster splits
+        # at its bridge, and the command fails on the parts of cluster 1 alone
+        g, _ = w.generate(w.GadgetSpec(
+            kind="bridged-cliques", num_cliques=4, clique_size=6, bridges=1
+        ))
+        w.write_edgelist(g, tmp_path / "net.tsv")
+        pairs = w.Clustering.from_assignment(np.arange(24) // 12)
+        w.write_clustering(pairs, g, tmp_path / "pairs.tsv")
+        script = self._script(
+            tmp_path,
+            "import sys\n"
+            "labels = set(open(sys.argv[1]).read().split())\n"
+            "if labels & {'12', '18'}:\n"
+            "    sys.exit(3)\n"
+            "with open(sys.argv[2], 'w') as out:\n"
+            "    out.writelines(v + '\\tall\\n' for v in labels)\n",
+        )
+        capsys.readouterr()
+        assert main(
+            ["treat", "--edgelist", str(tmp_path / "net.tsv"),
+             "--existing-clustering", str(tmp_path / "pairs.tsv"),
+             "--mode", "cm", "--clusterer", f"external:{script}",
+             "--num-processors", str(processes),
+             "--output-file", str(tmp_path / "out.tsv")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wellconn: external clusterer failed: cluster 1: command ")
+        assert "exited 3" in err
+
     def test_command_template_validation(self):
         with pytest.raises(w.ContractViolation):
             w.ExternalClusterer("sort")  # no placeholders
