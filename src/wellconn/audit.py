@@ -10,7 +10,7 @@ count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -80,26 +80,9 @@ class ConnectivityReport:
             "counts": dict(self.counts),
             "proportions": dict(self.proportions),
             "node_coverage": self.node_coverage,
-            "cluster_stats": self.stats.to_dict(),
+            "cluster_stats": asdict(self.stats),
             "clusters": [rec.to_dict() for rec in self.clusters],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConnectivityReport":
-        stats = ClusterStats(**data["cluster_stats"])
-        clusters = [ClusterAudit(**rec) for rec in data["clusters"]]
-        return cls(
-            graph_nodes=data["graph"]["nodes"],
-            graph_edges=data["graph"]["edges"],
-            graph_digest=data["graph"]["digest"],
-            threshold=data["threshold"],
-            clusters=clusters,
-            counts=dict(data["counts"]),
-            proportions=dict(data["proportions"]),
-            node_coverage=data["node_coverage"],
-            stats=stats,
-            mincut_size_cap=data["mincut_size_cap"],
-        )
 
 
 def _audit_one(
@@ -175,16 +158,6 @@ class AuditDelta:
     max_nonsingleton_size: int
     proportions: dict[str, float] = field(hash=False)
     counts: dict[str, int] = field(hash=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "node_coverage": self.node_coverage,
-            "non_singleton_count": self.non_singleton_count,
-            "median_nonsingleton_size": self.median_nonsingleton_size,
-            "max_nonsingleton_size": self.max_nonsingleton_size,
-            "proportions": dict(self.proportions),
-            "counts": dict(self.counts),
-        }
 
 
 def audit_delta(before: ConnectivityReport, after: ConnectivityReport) -> AuditDelta:

@@ -14,6 +14,7 @@ import json
 import logging
 import sys
 import time
+from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
 
@@ -78,25 +79,16 @@ def _sha256(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
+def _numpy_to_json(value):
+    """`json.dumps` hook: numpy arrays and scalars as Python lists and numbers."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _write_document(target: str | None, manifest: dict, payload: dict) -> None:
-    doc = {"manifest": _jsonable(manifest), "payload": _jsonable(payload)}
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    doc = {"manifest": manifest, "payload": payload}
+    text = json.dumps(doc, indent=2, sort_keys=True, default=_numpy_to_json) + "\n"
     write_lines(sys.stdout if target in (None, "-") else target, [text])
 
 
@@ -109,7 +101,7 @@ def _manifest(subcommand: str, inputs: dict[str, str], options: dict, started: f
             role: {"path": str(path), "sha256": _sha256(path)}
             for role, path in inputs.items()
         },
-        "options": _jsonable(options),
+        "options": options,
         "duration_seconds": round(time.monotonic() - started, 3),
     }
 
@@ -134,12 +126,11 @@ def _setup_logging(log_file: str | None, log_level: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (target, inputs, options, payload), and `main`
+# alone times it, sets up logging and writes the document once it succeeds
 
 
-def _cmd_treat(args) -> int:
-    started = time.monotonic()
-    _setup_logging(args.log_file, args.log_level)
+def _cmd_treat(args):
     threshold = ThresholdSpec.parse(args.threshold)
     graph, ingest = load_edgelist(args.edgelist)
     loaded = load_clustering(args.existing_clustering, graph)
@@ -168,41 +159,28 @@ def _cmd_treat(args) -> int:
     payload = {
         "mode": args.mode,
         "threshold": str(threshold),
-        "ingest": {
-            "lines_read": ingest.lines_read,
-            "self_loops_dropped": ingest.self_loops_dropped,
-            "duplicate_edges_dropped": ingest.duplicate_edges_dropped,
-            "nodes": ingest.nodes,
-            "edges": ingest.edges,
-        },
+        "ingest": asdict(ingest),
         "clustering_file": {
             "unknown_labels": loaded.unknown_labels,
             "missing_nodes": loaded.missing_nodes,
         },
         "graph": {"nodes": graph.n, "edges": graph.m},
-        "trace": trace.to_dict(),
+        "trace": asdict(trace),
         "clusters_out": treated.num_clusters,
         "output_sha256": _sha256(args.output_file),
     }
-    manifest = _manifest(
-        "treat",
-        {"edgelist": args.edgelist, "existing_clustering": args.existing_clustering},
-        {
-            "mode": args.mode,
-            "threshold": str(threshold),
-            "num_processors": args.num_processors,
-            "clusterer": args.clusterer if args.mode == "cm" else None,
-            "output_file": str(args.output_file),
-        },
-        started,
-    )
-    _write_document(args.output_file + ".run.json", manifest, payload)
-    return 0
+    inputs = {"edgelist": args.edgelist, "existing_clustering": args.existing_clustering}
+    options = {
+        "mode": args.mode,
+        "threshold": str(threshold),
+        "num_processors": args.num_processors,
+        "clusterer": args.clusterer if args.mode == "cm" else None,
+        "output_file": str(args.output_file),
+    }
+    return args.output_file + ".run.json", inputs, options, payload
 
 
-def _cmd_audit(args) -> int:
-    started = time.monotonic()
-    _setup_logging(args.log_file, args.log_level)
+def _cmd_audit(args):
     threshold = ThresholdSpec.parse(args.threshold)
     graph, _ingest = load_edgelist(args.edgelist)
     loaded = load_clustering(args.clustering, graph)
@@ -225,18 +203,13 @@ def _cmd_audit(args) -> int:
             for rec in report.clusters
         )
         write_lines(args.per_cluster_table, chain([header], rows))
-    manifest = _manifest(
-        "audit",
-        {"edgelist": args.edgelist, "clustering": args.clustering},
-        {
-            "threshold": str(threshold),
-            "num_processors": args.num_processors,
-            "mincut_cap": args.mincut_cap,
-        },
-        started,
-    )
-    _write_document(args.output, manifest, report.to_dict())
-    return 0
+    inputs = {"edgelist": args.edgelist, "clustering": args.clustering}
+    options = {
+        "threshold": str(threshold),
+        "num_processors": args.num_processors,
+        "mincut_cap": args.mincut_cap,
+    }
+    return args.output, inputs, options, report.to_dict()
 
 
 def _universe_for_eval(args):
@@ -285,34 +258,29 @@ def _universe_for_eval(args):
     return truth, clustering_from_membership(est_map, index), graph, restricted
 
 
-def _cmd_eval(args) -> int:
-    started = time.monotonic()
-    _setup_logging(args.log_file, args.log_level)
+# eval's scores by name; each looks its metric up in this module when called
+_METRICS = {
+    "nmi": lambda truth, est, graph: nmi(truth, est),
+    "ari": lambda truth, est, graph: ari(truth, est),
+    "agri": lambda truth, est, graph: agri(graph, truth, est),
+    "rmi": lambda truth, est, graph: rmi(truth, est, normalized=True),
+    "rmi_unnormalized": lambda truth, est, graph: rmi(truth, est, normalized=False),
+}
+
+
+def _cmd_eval(args):
     if args.metrics is None:
         # agri needs the graph, so it only defaults in when one is given
         args.metrics = "nmi,ari,agri,rmi" if args.edgelist else "nmi,ari,rmi"
     wanted = [tok.strip() for tok in args.metrics.split(",") if tok.strip()]
-    known = {"nmi", "ari", "agri", "rmi", "rmi_unnormalized"}
     for tok in wanted:
-        if tok not in known:
-            raise ContractViolation(f"unknown metric {tok!r} (choose from {sorted(known)})")
+        if tok not in _METRICS:
+            raise ContractViolation(f"unknown metric {tok!r} (choose from {sorted(_METRICS)})")
     if "agri" in wanted and not args.edgelist:
         raise ContractViolation("agri requires --edgelist")
     truth, est, graph, restricted = _universe_for_eval(args)
-    scores: dict[str, float] = {}
-    for tok in wanted:
-        if tok == "nmi":
-            scores["nmi"] = nmi(truth, est)
-        elif tok == "ari":
-            scores["ari"] = ari(truth, est)
-        elif tok == "agri":
-            scores["agri"] = agri(graph, truth, est)
-        elif tok == "rmi":
-            scores["rmi"] = rmi(truth, est, normalized=True)
-        elif tok == "rmi_unnormalized":
-            scores["rmi_unnormalized"] = rmi(truth, est, normalized=False)
     payload = {
-        "scores": scores,
+        "scores": {tok: _METRICS[tok](truth, est, graph) for tok in wanted},
         "metadata": {
             "log_base": LOG_BASE,
             "nmi_normalization": NMI_NORMALIZATION,
@@ -325,19 +293,11 @@ def _cmd_eval(args) -> int:
     inputs = {"ground_truth": args.ground_truth, "estimated": args.estimated}
     if args.edgelist:
         inputs["edgelist"] = args.edgelist
-    manifest = _manifest(
-        "eval",
-        inputs,
-        {"metrics": wanted, "restrict_common": args.restrict_common},
-        started,
-    )
-    _write_document(args.output, manifest, payload)
-    return 0
+    options = {"metrics": wanted, "restrict_common": args.restrict_common}
+    return args.output, inputs, options, payload
 
 
-def _cmd_dl(args) -> int:
-    started = time.monotonic()
-    _setup_logging(args.log_file, args.log_level)
+def _cmd_dl(args):
     payload: dict = {}
     inputs: dict[str, str] = {}
     if (args.components_before is None) != (args.components_after is None):
@@ -372,14 +332,10 @@ def _cmd_dl(args) -> int:
         raise ContractViolation(
             "dl needs --edgelist/--clustering or the two component files"
         )
-    manifest = _manifest("dl", inputs, {}, started)
-    _write_document(args.output, manifest, payload)
-    return 0
+    return args.output, inputs, {}, payload
 
 
-def _cmd_stats(args) -> int:
-    started = time.monotonic()
-    _setup_logging(args.log_file, args.log_level)
+def _cmd_stats(args):
     inputs = {"clustering": args.clustering}
     if args.edgelist:
         graph, _ = load_edgelist(args.edgelist)
@@ -394,22 +350,17 @@ def _cmd_stats(args) -> int:
         "missing_nodes": loaded.missing_nodes,
         "unknown_labels": loaded.unknown_labels,
     } if args.edgelist else {}
-    stats = cluster_stats(clustering)
     payload = {
         "nodes": clustering.n,
         "clusters": clustering.num_clusters,
         "singletons": clustering.singletons(),
-        **stats.to_dict(),
+        **asdict(cluster_stats(clustering)),
         **extra,
     }
-    manifest = _manifest("stats", inputs, {}, started)
-    _write_document(args.output, manifest, payload)
-    return 0
+    return args.output, inputs, {}, payload
 
 
-def _cmd_generate(args) -> int:
-    started = time.monotonic()
-    _setup_logging(args.log_file, args.log_level)
+def _cmd_generate(args):
     if args.kind in ("clique-ring", "bridged-cliques"):
         spec = GadgetSpec(
             kind=args.kind,
@@ -440,18 +391,20 @@ def _cmd_generate(args) -> int:
         "clustering_sha256": _sha256(args.clustering_out),
     }
     options = {k: v for k, v in vars(args).items() if k != "func"}
-    manifest = _manifest("generate", {}, options, started)
-    _write_document(args.output, manifest, payload)
-    return 0
+    return args.output, {}, options, payload
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common(sub) -> None:
+def _add_logging(sub) -> None:
     sub.add_argument("--log-file", default=None)
     sub.add_argument("--log-level", type=int, default=0, choices=(0, 1, 2))
+
+
+def _add_common(sub) -> None:
+    _add_logging(sub)
     sub.add_argument("--output", default=None, help="report path (default stdout)")
 
 
@@ -472,8 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="identity",
         help="cm re-clusterer: identity, components, or external:<command>",
     )
-    treat.add_argument("--log-file", default=None)
-    treat.add_argument("--log-level", type=int, default=0, choices=(0, 1, 2))
+    _add_logging(treat)
     treat.set_defaults(func=_cmd_treat)
 
     audit = subs.add_parser("audit", help="classify cluster connectivity")
@@ -537,7 +489,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        started = time.monotonic()
+        _setup_logging(args.log_file, args.log_level)
+        target, inputs, options, payload = args.func(args)
+        _write_document(
+            target, _manifest(args.subcommand, inputs, options, started), payload
+        )
+        return 0
     except ExternalClustererError as exc:
         print(f"wellconn: external clusterer failed: {exc}", file=sys.stderr)
         return 2

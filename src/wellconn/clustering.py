@@ -138,7 +138,7 @@ class ThresholdSpec:
                 raise ContractViolation(f"bad threshold: {text!r}") from None
         try:
             return cls("constant", float(int(token)))
-        except ValueError:
+        except (ValueError, OverflowError):
             raise ContractViolation(f"bad threshold: {text!r}") from None
 
     def __str__(self) -> str:
@@ -173,14 +173,6 @@ class ClusterStats:
     median_nonsingleton_size: float | None
     max_nonsingleton_size: int
     node_coverage: float
-
-    def to_dict(self) -> dict:
-        return {
-            "non_singleton_count": self.non_singleton_count,
-            "median_nonsingleton_size": self.median_nonsingleton_size,
-            "max_nonsingleton_size": self.max_nonsingleton_size,
-            "node_coverage": self.node_coverage,
-        }
 
 
 def node_coverage(c: Clustering) -> float:

@@ -50,15 +50,6 @@ class DLComponents:
     def total(self) -> float:
         return self.adjacency + self.degrees + self.partition + self.edge_counts
 
-    def to_dict(self) -> dict:
-        return {
-            "adjacency": self.adjacency,
-            "degrees": self.degrees,
-            "partition": self.partition,
-            "edge_counts": self.edge_counts,
-            "unit": self.unit,
-        }
-
 
 def compose_dl(components: DLComponents) -> float:
     """Total description length: the exact sum of the four terms."""

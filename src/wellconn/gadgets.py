@@ -8,6 +8,7 @@ numpy runs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,7 +232,8 @@ def parse_sizes(text: str) -> tuple[int, ...]:
             size, count = int(size_text), int(count_text) if times else 1
         except ValueError:
             raise ContractViolation(f"bad size spec chunk: {chunk!r}") from None
-        if size < 1 or count < 1:
+        # numbers past sys.maxsize cannot size a list or an array
+        if not (1 <= size <= sys.maxsize and 1 <= count <= sys.maxsize):
             raise ContractViolation(f"bad size spec chunk: {chunk!r}")
         sizes.extend([size] * count)
     if not sizes:

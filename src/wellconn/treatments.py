@@ -56,15 +56,6 @@ class TreatmentTrace:
     clusters_in: int = 0
     clusters_out: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "cuts_performed": self.cuts_performed,
-            "components_splits": self.components_splits,
-            "max_recursion_depth": self.max_recursion_depth,
-            "clusters_in": self.clusters_in,
-            "clusters_out": self.clusters_out,
-        }
-
 
 class IdentityClusterer:
     """Returns the whole graph as one cluster (reduces CM to WCC)."""

@@ -4,12 +4,24 @@ from __future__ import annotations
 
 import io
 import itertools
+import os
 import random
 
 import numpy as np
 import pytest
 
 import wellconn as w
+
+
+def wellconn_env() -> dict[str, str]:
+    """The environment for a child `python -m wellconn`: this package on its path.
+
+    A checkout that is not installed reaches the package only through the
+    test session's own path, which a child process does not inherit.
+    """
+    src = os.path.dirname(os.path.dirname(w.__file__))
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import wellconn as w
-from conftest import enumerate_tables, pair_count_ari
+from conftest import enumerate_tables, pair_count_ari, wellconn_env
 from wellconn.clustering import clustering_to_text
 from wellconn.cli import main
 
@@ -367,6 +367,7 @@ def test_criterion_10_performance_smoke(tmp_path):
              "--output", str(tmp_path / "gen.json")],
             capture_output=True,
             text=True,
+            env=wellconn_env(),
         )
         assert gen.returncode == 0, gen.stderr
         info = json.loads((tmp_path / "gen.json").read_text())["payload"]
@@ -385,6 +386,7 @@ def test_criterion_10_performance_smoke(tmp_path):
              "--output-file", str(out)],
             capture_output=True,
             text=True,
+            env=wellconn_env(),
         )
         elapsed = time.monotonic() - started
         assert proc.returncode == 0, proc.stderr

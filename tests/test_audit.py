@@ -1,6 +1,5 @@
 """Connectivity audits: categories, proportions, deltas, serialization."""
 
-import json
 import random
 
 import numpy as np
@@ -152,15 +151,3 @@ class TestDelta:
         with pytest.raises(w.ContractViolation):
             w.audit_delta(r1, r2)
 
-
-class TestSerialization:
-    def test_report_round_trip(self, threshold):
-        rng = random.Random(6)
-        g = random_graph_any(rng, 40, 0.12)
-        c = random_clustering(rng, g.n, kmax=5)
-        report = w.connectivity_audit(g, c, threshold)
-        data = json.loads(json.dumps(report.to_dict()))
-        back = w.ConnectivityReport.from_dict(data)
-        assert back.to_dict() == report.to_dict()
-        assert back.clusters == report.clusters
-        assert back.stats == report.stats

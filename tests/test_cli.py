@@ -1,6 +1,9 @@
 """Command-line behavior: files in, files out, exit codes, determinism."""
 
+import hashlib
 import json
+import re
+import subprocess
 import sys
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 
 import wellconn as w
 from wellconn.cli import main
+from conftest import wellconn_env
 
 
 def run(argv):
@@ -206,10 +210,35 @@ class TestTreat:
         text = logf.read_text()
         assert "treatment" in text
 
+    def test_worker_that_dies_exits_1(self, tmp_path):
+        # the external clusterer kills the worker process that started it; a
+        # pool that waited for the lost task would hang, so the command runs
+        # in a child process under a timeout
+        g, _ = w.generate(w.GadgetSpec(
+            kind="bridged-cliques", num_cliques=4, clique_size=6, bridges=1
+        ))
+        w.write_edgelist(g, tmp_path / "net.tsv")
+        pairs = w.Clustering.from_assignment(np.arange(g.n) // 12)
+        w.write_clustering(pairs, g, tmp_path / "pairs.tsv")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wellconn", "treat",
+             "--edgelist", str(tmp_path / "net.tsv"),
+             "--existing-clustering", str(tmp_path / "pairs.tsv"),
+             "--mode", "cm", "--num-processors", "2",
+             "--clusterer", "external:sh -c 'kill -9 $PPID; : {input} {output}'",
+             "--output-file", str(tmp_path / "out.tsv")],
+            capture_output=True, text=True, env=wellconn_env(), timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("wellconn: error:")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out.tsv.run.json").exists()
+
 
 @pytest.mark.parametrize("case", [
     "sizes-not-a-number", "negative-seed", "edgelist-is-directory",
     "edgelist-not-utf8", "components-not-json", "components-term-not-a-number",
+    "threshold-too-large", "size-count-too-large", "size-too-large",
 ])
 def test_bad_input_exit_1_without_traceback(tmp_path, capsys, case):
     (tmp_path / "c.tsv").write_text("a\tx\nb\tx\n")
@@ -224,6 +253,13 @@ def test_bad_input_exit_1_without_traceback(tmp_path, capsys, case):
            "--clustering-out", tmp_path / "g.tsv"]
     argv = {
         "sizes-not-a-number": gen + ["--kind", "planted-partition-lite", "--sizes", "abc"],
+        "size-count-too-large": gen + ["--kind", "planted-partition-lite",
+                                       "--sizes", "3x" + "9" * 30],
+        "size-too-large": gen + ["--kind", "planted-partition-lite",
+                                 "--sizes", "9" * 30 + "x1"],
+        "threshold-too-large": ["audit", "--edgelist", tmp_path / "c.tsv",
+                                "--clustering", tmp_path / "c.tsv",
+                                "--threshold", "1" + "0" * 400],
         "negative-seed": gen + ["--kind", "random-gnp", "--seed", "-1"],
         "edgelist-is-directory": ["stats", "--clustering", tmp_path / "c.tsv",
                                   "--edgelist", tmp_path],
@@ -566,6 +602,73 @@ class TestManifest:
                  "--output", rep])
             reps.append(json.dumps(payload_of(rep), sort_keys=True))
         assert reps[0] == reps[1]
+
+
+# The sha256 of every document each subcommand writes on one gadget, with
+# `duration_seconds` and the temporary directory blanked, and of the files
+# beside them. Recorded before one runner wrote every document: manifests,
+# payloads, treated files and the per-cluster table must keep these bytes.
+PINNED_DOCUMENTS = {
+    "audit": "1b36fbf63ba8bd155d2b0482e192607e1492535fdb71d66b5c687f9f23549fa9",
+    "audit.tsv": "b6dfb27ae1d012737e33e4b6fa5f7a0523ddfad476242080a430ad4ecb808032",
+    "dl": "100a9c1aa47e74e81ec3341cd96fb0d4a64678506c457bdf1015b61c3492b3a9",
+    "eval": "37c792cfa995b3c491a718329a05c09275488911e0edddc199277c34d35e0dae",
+    "generate": "ce58915092243837ef1e111c750833a3dbecf0682b0d3d99a116a359ab92c730",
+    "stats": "19c1cae6a9713e9bec5974cf57c770eaf2a95015bad19c304fa4be94c96c9445",
+    "stats-stdout": "76e10d36edd461a1e5f462bd4dc4efe86c3d9f3c4f73d64d31f089006a0b1de3",
+    "treat-cm": "8642c73b7f4ddcdb76dcfa6f672282c8760d78db2985536684b48cf3b66c02a1",
+    "treat-cm.tsv": "a991d5bba6be3f5fe2e4551e5e3d60c9f8654f3f75db274fa494dd163ebba339",
+    "treat-wcc": "ae84622e89e9822d0c17a78c40d2c02fe813eb57b9cc585aac8f8ccd2b97994e",
+    "treat-wcc.tsv": "a991d5bba6be3f5fe2e4551e5e3d60c9f8654f3f75db274fa494dd163ebba339",
+}
+
+
+def test_every_document_pinned(tmp_path, capsys):
+    def digest(text: str) -> str:
+        text = re.sub(r'"duration_seconds": [0-9.e+-]+', '"duration_seconds": 0', text)
+        return hashlib.sha256(text.replace(str(tmp_path), "TMP").encode()).hexdigest()
+
+    t = tmp_path
+    net, truth, pairs = t / "net.tsv", t / "truth.tsv", t / "pairs.tsv"
+    # six planted blocks of 12, merged in pairs: one pair is disconnected,
+    # one poorly connected and one well connected
+    assert run(["generate", "--kind", "planted-partition-lite", "--sizes", "12x6",
+                "--p-in", 0.5, "--p-out", 0.01, "--seed", 2, "--edgelist-out", net,
+                "--clustering-out", truth, "--output", t / "generate.json"]) == 0
+    pairs.write_text("".join(
+        f"{node}\t{int(cid) // 2}\n"
+        for node, cid in (line.split("\t") for line in truth.read_text().splitlines())
+    ))
+    w.save_components(w.DLComponents(100.25, 40.5, 12.125, 7.0), t / "before.json")
+    w.save_components(w.DLComponents(98.0, 41.0, 15.5, 3.25), t / "after.json")
+    runs = {
+        "treat-wcc": ["treat", "--edgelist", net, "--existing-clustering", pairs,
+                      "--mode", "wcc", "--output-file", t / "treat-wcc.tsv"],
+        "treat-cm": ["treat", "--edgelist", net, "--existing-clustering", pairs,
+                     "--mode", "cm", "--clusterer", "components",
+                     "--num-processors", 2, "--output-file", t / "treat-cm.tsv"],
+        "audit": ["audit", "--edgelist", net, "--clustering", pairs,
+                  "--per-cluster-table", t / "audit.tsv", "--output", t / "audit.json"],
+        "eval": ["eval", "--ground-truth", truth, "--estimated", t / "treat-wcc.tsv",
+                 "--edgelist", net, "--output", t / "eval.json"],
+        "dl": ["dl", "--edgelist", net, "--clustering", pairs,
+               "--components-before", t / "before.json",
+               "--components-after", t / "after.json", "--output", t / "dl.json"],
+        "stats": ["stats", "--clustering", pairs, "--edgelist", net,
+                  "--output", t / "stats.json"],
+    }
+    for argv in runs.values():
+        assert run(argv) == 0
+    capsys.readouterr()
+    assert run(["stats", "--clustering", pairs]) == 0
+    got = {"stats-stdout": digest(capsys.readouterr().out)}
+    for name in ("generate", "audit", "eval", "dl", "stats"):
+        got[name] = digest((t / f"{name}.json").read_text())
+    for name in ("treat-wcc", "treat-cm"):
+        got[name] = digest((t / f"{name}.tsv.run.json").read_text())
+        got[f"{name}.tsv"] = digest((t / f"{name}.tsv").read_text())
+    got["audit.tsv"] = digest((t / "audit.tsv").read_text())
+    assert got == PINNED_DOCUMENTS
 
 
 # Membership files that name labels outside the graph (x, y, z), a graph

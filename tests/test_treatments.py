@@ -1,7 +1,7 @@
 """CC, WCC, and CM treatments: examples, invariants, reference equivalence."""
 
+import concurrent.futures
 import hashlib
-import multiprocessing
 import random
 import sys
 
@@ -190,15 +190,14 @@ class TestWCC:
             assert w.cc_treatment_with_trace(g, c, processes=2) == serial_cc
 
     def test_workers_capped_at_cluster_count(self, threshold, monkeypatch):
-        fork = multiprocessing.get_context("fork")
-        pool = fork.Pool
+        executor = concurrent.futures.ProcessPoolExecutor
         started = []
 
-        def counting_pool(processes, *args):
-            started.append(processes)
-            return pool(processes, *args)
+        def counting_executor(max_workers, *args):
+            started.append(max_workers)
+            return executor(max_workers, *args)
 
-        monkeypatch.setattr(fork, "Pool", counting_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_executor)
         g = two_cliques(10, bridges=1)
         c = w.Clustering.from_assignment(np.repeat([0, 1], 10))
         serial = w.wcc_treatment(g, c, threshold)
