@@ -1,29 +1,41 @@
 """One per-cluster engine shared by the treatments and the audit.
 
-`map_clusters` applies a function to every cluster of a clustering, serially
-or on a `concurrent.futures.ProcessPoolExecutor` of forked workers (imported
-only then), and returns the results in cluster order. Forked workers share
-the parent's CSR arrays copy-on-write and do not re-import the package; the
-graph and the function reach them as the executor's initializer arguments,
-which `fork` inherits rather than pickles. Only the member arrays of the
-clusters and the results cross process boundaries.
+`map_clusters` applies a function to every cluster of a clustering and
+returns the results in cluster order. With one worker, or one cluster, it
+runs them in this process. Otherwise it is a plain fork-join:
+
+- Deal. The clusters, largest first, are dealt into one fixed share per
+  worker, each to the share with the fewest nodes so far (the lowest share
+  on a tie). A worker runs its share in cluster order.
+- Fork. Each worker is started with `os.fork()` and inherits its share, the
+  graph and the function; nothing is pickled on the way in. The parent runs
+  no cluster itself, so a command run by a cluster's work that kills its
+  parent process kills a worker, not the caller.
+- Join. Each worker writes its whole result, or its first failure, as one
+  pickle to its own pipe and leaves through `os._exit`. The parent reads
+  every pipe to its end, reaps every worker and puts the results in cluster
+  order. Of several failures, the one of the lowest cluster index is raised,
+  so the error does not depend on timing; a worker that died is named by the
+  clusters of its share.
+
+Workers are forked, not spawned: they share the parent's CSR arrays
+copy-on-write and skip the re-import of numpy and the package (about 0.2 s,
+more than the per-cluster work of most inputs). wellconn starts no threads of
+its own that a fork could copy in a bad state.
 """
 
 from __future__ import annotations
+
+import heapq
+import os
+import pickle
+import signal
 
 import numpy as np
 
 from .clustering import Clustering
 from .errors import ContractViolation, TreatmentError
 from .graph import Graph
-
-# (indptr, adj, fn, args, mark) of this worker process; set only in workers
-_worker: tuple = ()
-
-
-def _init_worker(indptr: np.ndarray, adj: np.ndarray, fn, args: tuple) -> None:
-    global _worker
-    _worker = (indptr, adj, fn, args, np.full(len(indptr) - 1, -1, np.int64))
 
 
 def _apply(idx: int, indptr, adj, members, mark, fn, args: tuple):
@@ -33,9 +45,67 @@ def _apply(idx: int, indptr, adj, members, mark, fn, args: tuple):
         raise type(exc)(f"cluster {idx}: {exc}") from exc
 
 
-def _run(tasks: list[tuple[int, np.ndarray]]) -> list[tuple]:
-    indptr, adj, fn, args, mark = _worker
-    return [(i, _apply(i, indptr, adj, members, mark, fn, args)) for i, members in tasks]
+def _deal(clusters: list[np.ndarray], workers: int) -> list[list[int]]:
+    """Cluster indices of each worker's share, each share in cluster order."""
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    loads = [(0, j) for j in range(workers)]  # (nodes so far, share) as a heap
+    for idx in sorted(range(len(clusters)), key=lambda i: -len(clusters[i])):
+        nodes, j = loads[0]
+        shares[j].append(idx)
+        heapq.heapreplace(loads, (nodes + len(clusters[idx]), j))
+    return [sorted(share) for share in shares]
+
+
+def _work(
+    fd: int, inherited: list[int], share: list[int], g: Graph, c: Clustering, fn, args
+) -> None:
+    """Body of a worker: run `share`, send one pickle down `fd`, never return."""
+    code = 1
+    try:
+        # a read end left open here would keep a worker whose parent is gone
+        # blocked on a full pipe
+        for other in inherited:
+            os.close(other)
+        idx = share[0]
+        try:
+            mark = np.full(g.n, -1, np.int64)
+            out: list | tuple = []
+            for idx in share:
+                members = c.clusters[idx]
+                out.append((idx, _apply(idx, g.indptr, g.adj, members, mark, fn, args)))
+        except BaseException as exc:  # sent to the parent, which raises it
+            out = (idx, exc)
+        try:
+            data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
+            if isinstance(out, tuple):
+                pickle.loads(data)  # an exception can pickle and still not load
+        except Exception as exc:
+            bad = out[1] if isinstance(out, tuple) else exc
+            bad = TreatmentError(f"{type(bad).__name__}: {bad}")
+            data = pickle.dumps((idx, bad), pickle.HIGHEST_PROTOCOL)
+        with open(fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _died(status: int, share: list[int]) -> TreatmentError:
+    if status == 0:
+        how = "its result was cut short"
+    else:
+        code = os.waitstatus_to_exitcode(status)
+        if code < 0:
+            try:
+                how = f"killed by {signal.Signals(-code).name}"
+            except ValueError:
+                how = f"killed by signal {-code}"
+        else:
+            how = f"exit status {code}"
+    clusters = ", ".join(map(str, share))
+    return TreatmentError(
+        f"a worker process died ({how}) while running clusters {clusters}"
+    )
 
 
 def map_clusters(g: Graph, c: Clustering, fn, args: tuple, processes: int) -> list:
@@ -43,11 +113,10 @@ def map_clusters(g: Graph, c: Clustering, fn, args: tuple, processes: int) -> li
 
     `mark` is an int64 scratch buffer of length g.n filled with -1, one per
     worker, that `fn` must leave filled with -1. At most one worker per
-    cluster is started. The clusters, largest first, are dealt round-robin
-    into 16 chunks per worker, so that no chunk gets all the largest. A
-    `TreatmentError` from `fn` is raised again, of the same type, with the
-    index of its cluster in front of the message. A worker process that dies
-    ends the call with a `TreatmentError`.
+    cluster is started. A `TreatmentError` from `fn` is raised again, of the
+    same type, with the index of its cluster in front of the message; of
+    several failures, the one of the lowest cluster index. A worker process
+    that dies ends the call with a `TreatmentError` that names its clusters.
     """
     if c.n != g.n:
         raise ContractViolation(f"clustering covers {c.n} nodes but graph has {g.n}")
@@ -60,21 +129,46 @@ def map_clusters(g: Graph, c: Clustering, fn, args: tuple, processes: int) -> li
             _apply(idx, g.indptr, g.adj, members, mark, fn, args)
             for idx, members in enumerate(c.clusters)
         ]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    order = sorted(enumerate(c.clusters), key=lambda task: -len(task[1]))
-    chunks = min(len(order), 16 * workers)
-    results: list = [None] * len(c.clusters)
-    fork = multiprocessing.get_context("fork")
+    shares = _deal(c.clusters, workers)
+    pids: list[int] = []  # started and not yet reaped
+    pipes = []  # read end of each worker's pipe, in share order
     try:
-        with ProcessPoolExecutor(
-            workers, fork, _init_worker, (g.indptr, g.adj, fn, args)
-        ) as pool:
-            for done in pool.map(_run, [order[j::chunks] for j in range(chunks)]):
-                for idx, result in done:
+        for share in shares:
+            rfd, wfd = os.pipe()
+            inherited = [rfd, *(pipe.fileno() for pipe in pipes)]
+            pid = os.fork()
+            if pid == 0:
+                _work(wfd, inherited, share, g, c, fn, args)
+            pids.append(pid)
+            os.close(wfd)
+            pipes.append(open(rfd, "rb"))
+        results: list = [None] * len(c.clusters)
+        failures = []
+        for pid, pipe, share in zip(list(pids), pipes, shares):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            pids.remove(pid)
+            try:
+                out = pickle.loads(data) if status == 0 else None
+            except (EOFError, pickle.UnpicklingError):  # empty or short
+                out = None
+            if out is None:
+                failures.append((share[0], _died(status, share)))
+            elif isinstance(out, tuple):
+                failures.append(out)
+            else:
+                for idx, result in out:
                     results[idx] = result
-    except BrokenProcessPool as exc:
-        raise TreatmentError(f"a worker process died: {exc}") from None
-    return results
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        return results
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except OSError:
+                pass

@@ -4,7 +4,7 @@ Each non-singleton cluster is classified as well connected, poorly
 connected, or disconnected under a threshold; singletons form their own
 reporting category so the proportions describe real clusters only.
 Clusters are audited independently through `_engine.map_clusters`, serially
-or on a pool of worker processes; the report does not depend on the worker
+or on forked worker processes; the report does not depend on the worker
 count.
 """
 

@@ -12,8 +12,9 @@ The parent graph is never mutated: removing a cut and keeping both sides is
 the same as recursing on the induced subgraphs of the two sides, because
 crossing edges vanish from both. Per-cluster work is independent, so all
 three treatments run each original cluster through `_engine.map_clusters`,
-serially or on a pool of worker processes; outputs are merged canonically
-and do not depend on the worker count.
+serially or on forked worker processes. Each cluster's pieces come back as
+one concatenated member array and the piece sizes; outputs are merged
+canonically and do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -198,10 +199,12 @@ def _process_cluster(
     t: ThresholdSpec,
     clusterer,
     labels: list[str],
-) -> tuple[list[np.ndarray], int, int, int]:
+) -> tuple[np.ndarray, np.ndarray, int, int, int]:
     """Run the split queue for one original cluster.
 
-    Returns (pieces, cuts_performed, components_splits, max_depth).
+    Returns (members, sizes, cuts_performed, components_splits, max_depth):
+    the emitted pieces concatenated in emission order, and their lengths, so
+    that a worker sends back two arrays however many pieces there are.
     """
     fast = clusterer is None or clusterer.trivial_on_connected
     emitted: list[np.ndarray] = []
@@ -259,7 +262,9 @@ def _process_cluster(
         parts = [nd[side], nd[~side]]
         for part in _recluster(parts, clusterer, indptr, adj, labels, mark):
             stack.append((part, depth + 1))
-    return emitted, cuts, comp_splits, maxdepth
+    sizes = np.fromiter(map(len, emitted), np.int64, len(emitted))
+    members = emitted[0] if len(emitted) == 1 else np.concatenate(emitted)
+    return members, sizes, cuts, comp_splits, maxdepth
 
 
 def _recluster(
@@ -307,9 +312,11 @@ def _treat(
 ) -> tuple[Clustering, TreatmentTrace]:
     results = map_clusters(g, c, _process_cluster, (t, clusterer, g.labels), processes)
     trace = TreatmentTrace(clusters_in=c.num_clusters)
-    pieces: list[np.ndarray] = []
-    for idx, (cluster_pieces, cuts, comp_splits, maxdepth) in enumerate(results):
-        pieces.extend(cluster_pieces)
+    assignment = np.full(g.n, -1, np.int64)
+    for idx, (members, sizes, cuts, comp_splits, maxdepth) in enumerate(results):
+        first = trace.clusters_out
+        trace.clusters_out += len(sizes)
+        assignment[members] = np.repeat(np.arange(first, trace.clusters_out), sizes)
         trace.cuts_performed += cuts
         trace.components_splits += comp_splits
         trace.max_recursion_depth = max(trace.max_recursion_depth, maxdepth)
@@ -317,11 +324,10 @@ def _treat(
             "cluster %d: %d nodes -> %d pieces (%d cuts, %d component splits)",
             idx,
             len(c.clusters[idx]),
-            len(cluster_pieces),
+            len(sizes),
             cuts,
             comp_splits,
         )
-    trace.clusters_out = len(pieces)
     log.info(
         "treatment: %d clusters in, %d out, %d cuts, %d component splits",
         trace.clusters_in,
@@ -329,9 +335,6 @@ def _treat(
         trace.cuts_performed,
         trace.components_splits,
     )
-    assignment = np.full(g.n, -1, np.int64)
-    for cid, piece in enumerate(pieces):
-        assignment[piece] = cid
     if np.any(assignment < 0):
         raise TreatmentError("treatment produced a non-covering partition")
     return Clustering.from_assignment(assignment), trace

@@ -131,6 +131,14 @@ class TestTreat:
         assert code == 0
         # degree-0 nodes cannot stay together: the component step splits them
         assert out.read_text() == "a\t0\nb\t1\n"
+        # no nodes at all: no clusters in, none out
+        (tmp_path / "none.tsv").write_text("")
+        assert run(
+            ["treat", "--edgelist", tmp_path / "empty.tsv",
+             "--existing-clustering", tmp_path / "none.tsv",
+             "--mode", "wcc", "--output-file", out]
+        ) == 0
+        assert out.read_text() == ""
 
     def test_missing_file_exit_1(self, tmp_path):
         assert run(
@@ -211,9 +219,10 @@ class TestTreat:
         assert "treatment" in text
 
     def test_worker_that_dies_exits_1(self, tmp_path):
-        # the external clusterer kills the worker process that started it; a
-        # pool that waited for the lost task would hang, so the command runs
-        # in a child process under a timeout
+        # the external clusterer kills the worker process that started it; an
+        # engine that waited for the lost work would hang, so the command runs
+        # in a child process under a timeout. Both workers die; the error
+        # names the share of the one holding the lowest cluster
         g, _ = w.generate(w.GadgetSpec(
             kind="bridged-cliques", num_cliques=4, clique_size=6, bridges=1
         ))
@@ -232,6 +241,9 @@ class TestTreat:
         assert proc.returncode == 1
         assert proc.stderr.startswith("wellconn: error:")
         assert "Traceback" not in proc.stderr
+        assert proc.stderr.endswith(
+            "a worker process died (killed by SIGKILL) while running clusters 0\n"
+        )
         assert not (tmp_path / "out.tsv.run.json").exists()
 
 

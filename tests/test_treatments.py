@@ -1,7 +1,7 @@
 """CC, WCC, and CM treatments: examples, invariants, reference equivalence."""
 
-import concurrent.futures
 import hashlib
+import os
 import random
 import sys
 
@@ -177,12 +177,19 @@ class TestWCC:
     def test_parallel_matches_serial(self, threshold):
         rng = random.Random(99)
         g = random_graph_any(rng, 120, 0.08)
-        # the second input has fewer clusters than workers
+        # the second input has fewer clusters than workers; the third is so
+        # sparse that its four clusters split into hundreds of pieces
+        sparse, truth = w.generate(w.GadgetSpec(
+            kind="planted-partition-lite", sizes=(300, 300, 300, 300),
+            p_in=0.008, p_out=0.0005, seed=5,
+        ))
+        assert w.wcc_treatment(sparse, truth, threshold)[1].clusters_out > 500
         inputs = [
-            random_clustering(rng, g.n, kmax=8),
-            w.Clustering.from_assignment(np.arange(g.n) % 3),
+            (g, random_clustering(rng, g.n, kmax=8)),
+            (g, w.Clustering.from_assignment(np.arange(g.n) % 3)),
+            (sparse, truth),
         ]
-        for c in inputs:
+        for g, c in inputs:
             serial = w.wcc_treatment(g, c, threshold, processes=1)
             serial_cc = w.cc_treatment_with_trace(g, c)
             for processes in (2, 4):
@@ -190,19 +197,19 @@ class TestWCC:
             assert w.cc_treatment_with_trace(g, c, processes=2) == serial_cc
 
     def test_workers_capped_at_cluster_count(self, threshold, monkeypatch):
-        executor = concurrent.futures.ProcessPoolExecutor
+        fork = os.fork
         started = []
 
-        def counting_executor(max_workers, *args):
-            started.append(max_workers)
-            return executor(max_workers, *args)
+        def counting_fork():
+            started.append(1)
+            return fork()
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_executor)
+        monkeypatch.setattr(os, "fork", counting_fork)
         g = two_cliques(10, bridges=1)
         c = w.Clustering.from_assignment(np.repeat([0, 1], 10))
         serial = w.wcc_treatment(g, c, threshold)
         assert w.wcc_treatment(g, c, threshold, processes=8) == serial
-        assert started == [2]
+        assert len(started) == 2
 
     def test_treated_file_pinned(self, tmp_path):
         # each input cluster is two planted blocks sharing few edges; the run
@@ -332,33 +339,39 @@ class TestExternalClusterer:
     @pytest.mark.parametrize("processes", [1, 2])
     def test_failure_names_the_input_cluster(self, tmp_path, capsys, processes):
         # four 6-cliques in a ring, clustered in two pairs; each cluster splits
-        # at its bridge, and the command fails on the parts of cluster 1 alone
+        # at its bridge. The command fails on the parts of cluster 1 alone,
+        # then on every part, where the lowest failing cluster is named
         g, _ = w.generate(w.GadgetSpec(
             kind="bridged-cliques", num_cliques=4, clique_size=6, bridges=1
         ))
         w.write_edgelist(g, tmp_path / "net.tsv")
         pairs = w.Clustering.from_assignment(np.arange(24) // 12)
         w.write_clustering(pairs, g, tmp_path / "pairs.tsv")
-        script = self._script(
-            tmp_path,
-            "import sys\n"
-            "labels = set(open(sys.argv[1]).read().split())\n"
-            "if labels & {'12', '18'}:\n"
-            "    sys.exit(3)\n"
-            "with open(sys.argv[2], 'w') as out:\n"
-            "    out.writelines(v + '\\tall\\n' for v in labels)\n",
-        )
-        capsys.readouterr()
-        assert main(
-            ["treat", "--edgelist", str(tmp_path / "net.tsv"),
-             "--existing-clustering", str(tmp_path / "pairs.tsv"),
-             "--mode", "cm", "--clusterer", f"external:{script}",
-             "--num-processors", str(processes),
-             "--output-file", str(tmp_path / "out.tsv")]
-        ) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("wellconn: external clusterer failed: cluster 1: command ")
-        assert "exited 3" in err
+        for failing, named in (("{'12', '18'}", 1), ("labels", 0)):
+            script = self._script(
+                tmp_path,
+                "import sys\n"
+                "labels = set(open(sys.argv[1]).read().split())\n"
+                f"if labels & {failing}:\n"
+                "    sys.exit(3)\n"
+                "with open(sys.argv[2], 'w') as out:\n"
+                "    out.writelines(v + '\\tall\\n' for v in labels)\n",
+            )
+            capsys.readouterr()
+            assert main(
+                ["treat", "--edgelist", str(tmp_path / "net.tsv"),
+                 "--existing-clustering", str(tmp_path / "pairs.tsv"),
+                 "--mode", "cm", "--clusterer", f"external:{script}",
+                 "--num-processors", str(processes),
+                 "--output-file", str(tmp_path / "out.tsv")]
+            ) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(
+                f"wellconn: external clusterer failed: cluster {named}: command "
+            )
+            assert "exited 3" in err
+            with pytest.raises(ChildProcessError):  # every worker was reaped
+                os.waitpid(-1, os.WNOHANG)
 
     def test_command_template_validation(self):
         with pytest.raises(w.ContractViolation):
