@@ -176,7 +176,11 @@ def min_cut_csr(indptr, adj):
     tie-break on the id is a tie-break on that node.
 
     Returns (value, side) with side a bool mask whose True part contains
-    node 0. value == -1 signals a disconnected input.
+    node 0. The input must be connected, and callers check that first:
+    value == -1 only reports a disconnection the scan happens to find (a
+    node of degree 0, or an ordering that stops short). Two disjoint edges
+    return (1, side), since a minimum degree of 1 ends the loop before any
+    scan.
     """
     n = len(indptr) - 1
     deg = np.diff(indptr)

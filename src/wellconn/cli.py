@@ -33,7 +33,7 @@ from .clustering import (
 )
 from .dl import dl_diff, load_components, pe_for_clustering
 from .errors import ContractViolation, ExternalClustererError, WellconnError
-from .gadgets import GadgetSpec, generate, parse_sizes
+from .gadgets import KINDS, GadgetSpec, generate, parse_sizes
 from .graph import Graph, induced_subgraph, load_edgelist, write_edgelist, write_lines
 from .metrics import (
     LOG_BASE,
@@ -462,9 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.set_defaults(func=_cmd_stats)
 
     gen = subs.add_parser("generate", help="write a synthetic network + clustering")
-    gen.add_argument("--kind", required=True, choices=(
-        "clique-ring", "bridged-cliques", "planted-partition-lite", "random-gnp"
-    ))
+    gen.add_argument("--kind", required=True, choices=KINDS)
     gen.add_argument("--num-cliques", type=int, default=2)
     gen.add_argument("--clique-size", type=int, default=10)
     gen.add_argument("--bridges", type=int, default=1)

@@ -43,9 +43,6 @@ class Clustering:
     def num_clusters(self) -> int:
         return len(self.clusters)
 
-    def sizes(self) -> np.ndarray:
-        return np.array([len(c) for c in self.clusters], dtype=np.int64)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Clustering):
             return NotImplemented

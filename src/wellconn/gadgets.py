@@ -1,9 +1,13 @@
 """Deterministic synthetic test networks with planted clusterings.
 
 The pseudo-random source is numpy's PCG64 (O'Neill's permuted congruential
-generator) seeded directly with the spec's seed; draws happen in a fixed
-documented order, so equal specs reproduce byte-identical graphs anywhere
-numpy runs.
+generator) seeded directly with the spec's seed, so equal specs reproduce
+byte-identical graphs anywhere numpy runs. The draws come in a fixed order:
+for each block in index order, a binomial count of its internal edges and
+then their sample; then one binomial count and one sample for the edges
+between blocks. A sample enumerates all candidate pairs when it draws among
+at most 2048 nodes, and draws endpoints in batches above that. G(n, p) is
+the planted partition with one block.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .graph import Graph
 
 KINDS = ("clique-ring", "bridged-cliques", "planted-partition-lite", "random-gnp")
 
-# below this many nodes, edge sampling enumerates all candidate pairs
+# up to this many nodes, edge sampling enumerates all candidate pairs
 _DENSE_SAMPLING_LIMIT = 2048
 
 
@@ -85,48 +89,46 @@ def _clique_ring(k: int, s: int, b: int) -> tuple[Graph, Clustering]:
     return g, Clustering.from_assignment(assignment)
 
 
-def _sample_pairs_sparse(
-    rng: np.random.Generator,
-    n: int,
-    count: int,
-    accept,
-) -> np.ndarray:
-    """Draw `count` distinct accepted unordered pairs as int64 keys (lo*n+hi).
+def _sample_pairs(rng: np.random.Generator, n: int, count: int, accept=None) -> np.ndarray:
+    """Draw `count` distinct unordered pairs of 0..n-1 as int64 keys lo*n+hi.
 
-    Pairs come from the first `count` distinct accepted draws of a uniform
-    endpoint stream, which keeps the selection uniform and deterministic.
+    Only pairs that `accept(u, v)` allows are drawn, or every pair when it is
+    None. Up to the dense limit, a permutation of all accepted pairs picks
+    them; above it, the first `count` distinct accepted draws of a uniform
+    endpoint stream do. Both selections are uniform and deterministic.
     """
-    got = np.empty(0, np.int64)
-    have: set[int] = set()
-    keys_in_order: list[int] = []
-    remaining = count
-    while remaining > 0:
+    if count == 0:
+        return np.empty(0, np.int64)
+    if n <= _DENSE_SAMPLING_LIMIT:
+        u, v = np.triu_indices(n, 1)
+        if accept is not None:
+            ok = accept(u, v)
+            u, v = u[ok], v[ok]
+        # in place: fresh temporaries here triple the page faults
+        keys = u.astype(np.int64, copy=False)
+        keys *= n
+        keys += v
+        return keys[rng.permutation(len(keys))[:count]]
+    picked = np.empty(0, np.int64)
+    # the keys picked so far, ascending, under a sentinel no key reaches: a
+    # batch costs a lookup, where np.isin would sort every picked key again
+    seen = np.array([np.iinfo(np.int64).max])
+    while len(picked) < count:
+        remaining = count - len(picked)
         batch = max(int(remaining * 1.3) + 16, 64)
         u = rng.integers(0, n, size=batch)
         v = rng.integers(0, n, size=batch)
         ok = u != v
+        if accept is not None:
+            ok &= accept(u, v)
         u, v = u[ok], v[ok]
-        ok = accept(u, v)
-        u, v = u[ok], v[ok]
-        lo = np.minimum(u, v).astype(np.int64)
-        hi = np.maximum(u, v).astype(np.int64)
-        for key in (lo * n + hi).tolist():
-            if key not in have:
-                have.add(key)
-                keys_in_order.append(key)
-                remaining -= 1
-                if remaining == 0:
-                    break
-    got = np.asarray(keys_in_order, dtype=np.int64)
-    return got
-
-
-def _sample_pairs_dense(
-    rng: np.random.Generator, candidates: np.ndarray, count: int
-) -> np.ndarray:
-    """Uniform sample without replacement from an explicit key array."""
-    perm = rng.permutation(len(candidates))
-    return candidates[perm[:count]]
+        drawn = np.minimum(u, v) * n + np.maximum(u, v)
+        keys, first = np.unique(drawn, return_index=True)
+        at = np.searchsorted(seen, keys)
+        fresh = seen[at] != keys
+        picked = np.concatenate([picked, drawn[np.sort(first[fresh])[:remaining]]])
+        seen = np.insert(seen, at[fresh], keys[fresh])
+    return picked
 
 
 def _binomial_count(rng: np.random.Generator, population: int, p: float) -> int:
@@ -146,53 +148,24 @@ def _planted_partition(
         raise ContractViolation("edge probabilities must lie in [0, 1]")
     n = int(sum(sizes))
     assignment = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    starts = np.zeros(len(sizes), np.int64)
-    np.cumsum(np.asarray(sizes[:-1], dtype=np.int64), out=starts[1:])
     rng = np.random.Generator(np.random.PCG64(seed))
     keys: list[np.ndarray] = []
 
     # internal edges, cluster by cluster in index order
-    for ci, size in enumerate(sizes):
-        base = int(starts[ci])
-        pairs = size * (size - 1) // 2
-        want = _binomial_count(rng, pairs, p_in)
-        if want == 0:
-            continue
-        if size <= _DENSE_SAMPLING_LIMIT:
-            iu, iv = np.triu_indices(size, k=1)
-            cand = (iu.astype(np.int64) + base) * n + (iv.astype(np.int64) + base)
-            keys.append(_sample_pairs_dense(rng, cand, want))
-        else:
-            local = _sample_pairs_sparse(
-                rng, size, want, lambda u, v: np.ones(len(u), bool)
-            )
-            lo = local // size + base
-            hi = local % size + base
-            keys.append(lo * n + hi)
+    base = 0
+    for size in sizes:
+        want = _binomial_count(rng, size * (size - 1) // 2, p_in)
+        local = _sample_pairs(rng, size, want)
+        keys.append((local // size + base) * n + local % size + base)
+        base += size
 
     # cross-cluster edges
-    internal_pairs = sum(s * (s - 1) // 2 for s in sizes)
-    cross_pairs = n * (n - 1) // 2 - internal_pairs
+    cross_pairs = n * (n - 1) // 2 - sum(s * (s - 1) // 2 for s in sizes)
     want = _binomial_count(rng, cross_pairs, p_out)
-    if want > 0:
-        if n <= _DENSE_SAMPLING_LIMIT:
-            iu, iv = np.triu_indices(n, k=1)
-            mask = assignment[iu] != assignment[iv]
-            cand = iu[mask].astype(np.int64) * n + iv[mask].astype(np.int64)
-            keys.append(_sample_pairs_dense(rng, cand, want))
-        else:
-            keys.append(
-                _sample_pairs_sparse(
-                    rng, n, want, lambda u, v: assignment[u] != assignment[v]
-                )
-            )
+    keys.append(_sample_pairs(rng, n, want, lambda u, v: assignment[u] != assignment[v]))
 
-    if keys:
-        all_keys = np.concatenate(keys)
-        edges = np.stack([all_keys // n, all_keys % n], axis=1)
-    else:
-        edges = np.empty((0, 2), np.int64)
-    g = Graph.from_edges(n, edges)
+    all_keys = np.concatenate(keys)
+    g = Graph.from_edges(n, np.stack([all_keys // n, all_keys % n], axis=1))
     return g, Clustering.from_assignment(assignment)
 
 
@@ -203,21 +176,7 @@ def _random_gnp(n: int, p: float, seed: int) -> tuple[Graph, Clustering]:
         raise ContractViolation("edge probability must lie in [0, 1]")
     if n == 0:
         return Graph.from_edges(0, []), Clustering.from_assignment(np.empty(0, np.int64))
-    rng = np.random.Generator(np.random.PCG64(seed))
-    pairs = n * (n - 1) // 2
-    want = _binomial_count(rng, pairs, p)
-    if want == 0:
-        edges = np.empty((0, 2), np.int64)
-    elif n <= _DENSE_SAMPLING_LIMIT:
-        iu, iv = np.triu_indices(n, k=1)
-        cand = iu.astype(np.int64) * n + iv.astype(np.int64)
-        keys = _sample_pairs_dense(rng, cand, want)
-        edges = np.stack([keys // n, keys % n], axis=1)
-    else:
-        keys = _sample_pairs_sparse(rng, n, want, lambda u, v: np.ones(len(u), bool))
-        edges = np.stack([keys // n, keys % n], axis=1)
-    g = Graph.from_edges(n, edges)
-    return g, Clustering.from_assignment(np.zeros(n, np.int64))
+    return _planted_partition((n,), p, 0.0, seed)
 
 
 def parse_sizes(text: str) -> tuple[int, ...]:

@@ -187,8 +187,9 @@ def log2_table_count(
     matrices with only those margins fixed.
     """
     n = sum(row_sums)
-    if n <= EXACT_TABLE_COUNT_LIMIT:
-        return math.log2(count_tables(row_sums, col_sums)), "exact-enumeration"
+    method = table_count_method(n)
+    if method == "exact-enumeration":
+        return math.log2(count_tables(row_sums, col_sums)), method
     r = len(row_sums)
     s = len(col_sums)
     log2e = math.log2(math.e)
@@ -203,7 +204,7 @@ def log2_table_count(
         + sum(logc(b + r - 1, r - 1) for b in col_sums)
         - logc(n + r * s - 1, r * s - 1)
     )
-    return max(value, 0.0), "independence-approximation"
+    return max(value, 0.0), method
 
 
 def table_count_method(n: int) -> str:

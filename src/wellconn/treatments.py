@@ -61,7 +61,6 @@ class TreatmentTrace:
 class IdentityClusterer:
     """Returns the whole graph as one cluster (reduces CM to WCC)."""
 
-    kind = "identity"
     # re-clustering a connected part returns the part itself
     trivial_on_connected = True
 
@@ -72,7 +71,6 @@ class IdentityClusterer:
 class ComponentsClusterer:
     """Returns the connected components as the clusters."""
 
-    kind = "components"
     trivial_on_connected = True
 
     def cluster(self, graph: Graph) -> Clustering:
@@ -89,7 +87,6 @@ class ExternalClusterer:
     command omits become singletons; labels outside the part are an error.
     """
 
-    kind = "external"
     trivial_on_connected = False
 
     def __init__(self, command_template: str | list[str]):

@@ -1,9 +1,12 @@
 """Synthetic gadget generators: structure, determinism, validation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import wellconn as w
+from wellconn import gadgets
 from conftest import assert_valid_partition
 
 
@@ -143,3 +146,133 @@ class TestParseSizes:
         for bad in ("", "0x3", "10x0", "x", "axb", "5x", "abc"):
             with pytest.raises(w.ContractViolation):
                 w.parse_sizes(bad)
+
+
+# Recorded from the generator before its samplers were merged into one:
+# every sampling regime must keep its bytes.
+SAMPLING_PINS = [
+    # n <= 2048: every pair enumerated
+    pytest.param(
+        dict(kind="planted-partition-lite", sizes=(30, 20, 10), p_in=0.4, p_out=0.01, seed=5),
+        "10e3b7a3f5d250ff389a08d20392f1e8edb8a3b5dacd457a7cfe8d2054305232",
+        "84e52398c2654945a9eddb8af108b0566567d1ea54ff8ff17fb4e389208d95af",
+        id="dense",
+    ),
+    # small blocks, cross edges drawn among n > 2048
+    pytest.param(
+        dict(kind="planted-partition-lite", sizes=(100,) * 25, p_in=0.05, p_out=0.001, seed=7),
+        "62c070a134e030b3f75ee8bcc5587d6deabe516fd341d9b4a1ae0c2093d7990a",
+        "c355757bf7c642e6925f499a23387cac7e779b44eda1550a257c740add7fee76",
+        id="sparse-cross",
+    ),
+    # one block above 2048 drawn in batches
+    pytest.param(
+        dict(kind="planted-partition-lite", sizes=(3000, 100), p_in=0.002, p_out=0.00002, seed=3),
+        "e7b33e8c5117c5b3b98bdf0435ca4be32022e4e04a913f2d9f09eebca3c970e3",
+        "a8e062f3fffc659c64eb3ed01fad95b40d7b35d456d53966bcb7efa091e48a2a",
+        id="sparse-internal",
+    ),
+    pytest.param(
+        dict(kind="random-gnp", n=200, p=0.05, seed=11),
+        "6657c9c8e7c62be730333a96be1ea1b5f4a059effe4d86e449a4f15bff2eb1c2",
+        "e61f41d57db208c5f92a35c4ce7198570924a3fc87eeba83441fceee5d6a2865",
+        id="gnp-dense",
+    ),
+    pytest.param(
+        dict(kind="random-gnp", n=5000, p=0.002, seed=2026),
+        "b47e20af8aba4fb3f27afb2c6a01a599cfbbdf0c98a65ccdb15870405a60842d",
+        "e7e2dcff542de95352682dc186432e98f0188084896773f1973276b0577d5305",
+        id="gnp-sparse",
+    ),
+    # duplicates force several batches
+    pytest.param(
+        dict(kind="random-gnp", n=2049, p=0.6, seed=1),
+        "c1bb066127dd3e414efb4bfa8df93e00150a7647b89316b205009b662fada7d7",
+        "f3e70dac36eb1b853d669f00f457c97c2f37cb5d8ae245305d05d661439365a7",
+        id="gnp-multi-batch",
+    ),
+    pytest.param(
+        dict(kind="planted-partition-lite", sizes=(5, 5), p_in=0.0, p_out=0.0, seed=0),
+        "9c650fc2e807619d57ab76c9c23e3e75e23cc42b673caa8d00fcc839ee4b8043",
+        "23ebc865e5eee5c9c3cd23c9791d8fabdbbf2ab95b6241b3d6b6ef14be0808bb",
+        id="p-zero",
+    ),
+    pytest.param(
+        dict(kind="planted-partition-lite", sizes=(5, 5), p_in=1.0, p_out=1.0, seed=0),
+        "3a852d87c46185d5e5034cfce72edf95465bdff033000c9b31cc999c98b64292",
+        "23ebc865e5eee5c9c3cd23c9791d8fabdbbf2ab95b6241b3d6b6ef14be0808bb",
+        id="p-one",
+    ),
+    pytest.param(
+        dict(kind="random-gnp", n=12, p=1.0, seed=0),
+        "8d3331961b1f6dd478c90fbfdd399eee16dd5d2074877e7039884db738b46029",
+        "2ea9ab9198d1638007400cd2c3bef1cc745b864b76011a0e1bc52180ac6452d4",
+        id="gnp-p-one",
+    ),
+    pytest.param(
+        dict(kind="random-gnp", n=1, p=0.5, seed=0),
+        "77367f403894881d92304c8dd3cab53536de482e581ee42c094deb83eb5f42bf",
+        "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+        id="gnp-n-one",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, graph_sha, assignment_sha", SAMPLING_PINS)
+def test_sampling_regimes_pinned(spec, graph_sha, assignment_sha):
+    g, gt = w.generate(w.GadgetSpec(**spec))
+    assert g.digest() == graph_sha
+    assert hashlib.sha256(gt.assignment.tobytes()).hexdigest() == assignment_sha
+
+
+def _sample_pairs_reference(rng, n, count, accept):
+    """The per-key `set` loop the vectorized sparse sampler replaced."""
+    have: set[int] = set()
+    keys_in_order: list[int] = []
+    remaining = count
+    while remaining > 0:
+        batch = max(int(remaining * 1.3) + 16, 64)
+        u = rng.integers(0, n, size=batch)
+        v = rng.integers(0, n, size=batch)
+        ok = u != v
+        u, v = u[ok], v[ok]
+        if accept is not None:
+            ok = accept(u, v)
+            u, v = u[ok], v[ok]
+        for key in (np.minimum(u, v) * n + np.maximum(u, v)).tolist():
+            if key not in have:
+                have.add(key)
+                keys_in_order.append(key)
+                remaining -= 1
+                if remaining == 0:
+                    break
+    return np.asarray(keys_in_order, dtype=np.int64)
+
+
+def test_sparse_sampler_matches_set_loop():
+    r = np.random.default_rng(17)
+    for case in range(12):
+        kind = case % 3
+        n = int(r.integers(2049, 6000 if kind < 2 else 2600))
+        block = np.arange(n) // 40
+        if kind == 0:
+            accept, pool = None, n * (n - 1) // 2
+        elif kind == 1:
+            accept = lambda u, v: block[u] != block[v]  # noqa: E731
+            pool = n * (n - 1) // 2 - int((np.bincount(block) ** 2).sum() - n) // 2
+        else:
+            # duplicate-heavy: few accepted pairs, most of them wanted
+            accept = lambda u, v: u % 64 == v % 64  # noqa: E731
+            k = np.bincount(np.arange(n) % 64)
+            pool = int((k * (k - 1) // 2).sum())
+        count = int(
+            r.integers(1, 30000) if kind < 2 else r.integers(pool // 2, pool * 9 // 10)
+        )
+        assert count <= pool  # else neither sampler could finish
+        seed = int(r.integers(0, 2**32))
+        expected = _sample_pairs_reference(
+            np.random.default_rng(seed), n, count, accept
+        )
+        got = gadgets._sample_pairs(np.random.default_rng(seed), n, count, accept)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected), (n, count, kind)

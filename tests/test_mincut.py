@@ -49,11 +49,12 @@ class TestExamples:
 
 class TestContracts:
     def test_disconnected_rejected(self):
-        g = two_cliques(4, bridges=0)
-        with pytest.raises(w.ContractViolation):
-            w.global_min_cut(g)
-        with pytest.raises(w.ContractViolation):
-            w.brute_force_min_cut(g)
+        # two disjoint edges: the kernel itself returns a cut of value 1
+        for g in (two_cliques(4, bridges=0), graph_of(4, [(0, 1), (2, 3)])):
+            with pytest.raises(w.ContractViolation):
+                w.global_min_cut(g)
+            with pytest.raises(w.ContractViolation):
+                w.brute_force_min_cut(g)
 
     def test_too_small_rejected(self):
         g = w.Graph.from_edges(1, [])

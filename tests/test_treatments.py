@@ -380,10 +380,10 @@ class TestExternalClusterer:
             w.ExternalClusterer("")
 
     def test_parse_clusterer(self):
-        assert w.parse_clusterer("identity").kind == "identity"
-        assert w.parse_clusterer("components").kind == "components"
+        assert type(w.parse_clusterer("identity")) is w.IdentityClusterer
+        assert type(w.parse_clusterer("components")) is w.ComponentsClusterer
         ext = w.parse_clusterer("external:cmd --in {input} --out {output}")
-        assert ext.kind == "external"
+        assert type(ext) is w.ExternalClusterer
         with pytest.raises(w.ContractViolation):
             w.parse_clusterer("bogus")
 
