@@ -1,10 +1,9 @@
 """Low-level CSR graph kernels in plain Python, numpy and heapq.
 
 All kernels are deterministic: fixed scan orders, fixed tie-breaks (smallest
-index wins), no randomness. Whole-array bookkeeping (gathers, sorts, sums)
-runs in numpy; the inherently sequential parts (breadth-first search, the
-maximum-adjacency ordering, union-find, the peel) run as Python loops over
-lists taken with `.tolist()`, with `heapq` as the priority queue.
+index wins), no randomness. Whole-array work, connectivity included, runs in
+numpy; the only sequential loops left, the maximum-adjacency ordering and the
+peel, run in Python over `.tolist()` lists with `heapq` as the priority queue.
 """
 
 from __future__ import annotations
@@ -17,25 +16,30 @@ import numpy as np
 NUMBA_ENABLED = False
 
 
+def component_labels(n, a, b):
+    """Component label per node over the edges (a, b), ordered by smallest node.
+
+    Min-label hooking (Shiloach and Vishkin, 1982): each round hooks every
+    root to its smallest neighbouring root, jumps pointers until every tree is
+    a star and drops the edges inside one tree. Roots only point to smaller
+    ids, so any hooking order ends with each node at its component's smallest
+    id. Every unfinished tree merges within two rounds: 2*ceil(log2 n) + 1 at most.
+    """
+    lab = np.arange(n)
+    while len(a):
+        np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jump := lab[lab], lab):
+            lab = jump
+        a, b = lab[a], lab[b]
+        kept = a != b
+        a, b = a[kept], b[kept]
+    return (np.cumsum(lab == np.arange(n)) - 1)[lab]
+
+
 def connected_labels(indptr, adj):
-    """Component label per node; labels ordered by smallest contained node."""
+    """Component label per node of a CSR graph; labels ordered by smallest node."""
     n = len(indptr) - 1
-    ip = indptr.tolist()
-    nb = adj.tolist()
-    labels = [-1] * n
-    comp = 0
-    for root in range(n):
-        if labels[root] >= 0:
-            continue
-        labels[root] = comp
-        queue = [root]
-        for v in queue:  # breadth-first: the queue grows while it is read
-            for u in nb[ip[v] : ip[v + 1]]:
-                if labels[u] < 0:
-                    labels[u] = comp
-                    queue.append(u)
-        comp += 1
-    return np.array(labels, np.int64)
+    return component_labels(n, np.repeat(np.arange(n), np.diff(indptr)), adj)
 
 
 def induced_csr(indptr, adj, nodes, mark):
@@ -121,10 +125,12 @@ def _ma_ordering(ip, nb, wt, nv):
     wsum = [0] * nv
     done = [False] * nv
     qv = [0] * len(nb)
-    heap = [(0, 0)]  # (-attachment, id): largest attachment, then smallest id
+    # key u - s*nv: largest attachment s, then smallest id u
+    heap = [0]
+    heappop, heappush = heapq.heappop, heapq.heappush
     scanned = last = prev = 0
     while heap:
-        key, v = heapq.heappop(heap)
+        key, v = divmod(heappop(heap), nv)
         if done[v] or key != -wsum[v]:
             continue  # stale entry
         done[v] = True
@@ -136,28 +142,8 @@ def _ma_ordering(ip, nb, wt, nv):
                 s = wsum[u] + wt[pos]
                 wsum[u] = s
                 qv[pos] = s
-                heapq.heappush(heap, (-s, u))
+                heappush(heap, u - s * nv)
     return scanned, last, prev, wsum[last], qv
-
-
-def _union_smaller(nv, pairs):
-    """Representative per id after joining `pairs`: the smallest id of its set."""
-    up = list(range(nv))
-
-    def find(x):
-        while up[x] != x:
-            up[x] = up[up[x]]
-            x = up[x]
-        return x
-
-    for a, b in pairs:
-        a = find(a)
-        b = find(b)
-        if a < b:
-            up[b] = a
-        elif b < a:
-            up[a] = b
-    return np.array([find(x) for x in range(nv)], np.int64)
 
 
 def min_cut_csr(indptr, adj):
@@ -234,17 +220,14 @@ def min_cut_csr(indptr, adj):
         # contract: the final ordering pair always merges; additionally any
         # edge certified at connectivity > best and any edge weighing >= best
         sel = np.flatnonzero((np.array(qv, np.int64) > best) | (cw >= best))
-        rep = _union_smaller(
-            nv, [(last, prev), *zip(src[sel].tolist(), dst[sel].tolist())]
+        newid = component_labels(
+            nv, np.append(src[sel], last), np.append(dst[sel], prev)
         )
-        is_root = rep == np.arange(nv)
-        newid = (np.cumsum(is_root) - 1)[rep]
-        nv = int(is_root.sum())
+        nv = int(newid.max()) + 1
         sv = newid[sv]
 
         # remap to compact ids, drop collapsed edges, merge parallel edges
-        a = newid[eu]
-        b = newid[ev]
+        a, b = newid[eu], newid[ev]
         kept = a != b
         a, b = a[kept], b[kept]
         keys, inv = np.unique(

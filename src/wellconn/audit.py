@@ -119,6 +119,8 @@ def connectivity_audit(
     mincut_size_cap: int | None = None,
 ) -> ConnectivityReport:
     """Classify every cluster and aggregate the category proportions."""
+    if mincut_size_cap is not None and mincut_size_cap < 0:
+        raise ContractViolation(f"mincut size cap must be >= 0, got {mincut_size_cap}")
     verdicts = map_clusters(g, c, _audit_one, (t, mincut_size_cap), processes)
     records = [
         ClusterAudit(cid, len(members), *verdict)

@@ -7,7 +7,6 @@ input files and to processing order.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -326,9 +325,3 @@ def write_clustering(c: Clustering, g: Graph, target: str | Path | IO) -> None:
     ids = c.assignment.tolist()
     order = sorted(range(g.n), key=labels.__getitem__)
     write_lines(target, (f"{labels[v]}\t{ids[v]}\n" for v in order))
-
-
-def clustering_to_text(c: Clustering, g: Graph) -> str:
-    buf = io.StringIO()
-    write_clustering(c, g, buf)
-    return buf.getvalue()

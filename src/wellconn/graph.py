@@ -76,10 +76,6 @@ class Graph:
         keep = src < dst
         return src[keep], dst[keep]
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        u, v = self.edge_arrays()
-        return zip(u.tolist(), v.tolist())
-
     def digest(self) -> str:
         """Structure fingerprint (labels plus adjacency), hex sha256."""
         if self._digest is None:

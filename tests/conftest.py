@@ -51,6 +51,12 @@ def as_sources(raw: bytes, tmp_path) -> list:
     return [path, raw, io.StringIO(raw.decode("utf-8"))]
 
 
+def edges_of(g: w.Graph) -> list[tuple[int, int]]:
+    """Each undirected edge of `g` once, as (u, v) with u < v, sorted."""
+    u, v = g.edge_arrays()
+    return list(zip(u.tolist(), v.tolist()))
+
+
 def graph_of(n: int, edges) -> w.Graph:
     return w.Graph.from_edges(n, edges)
 
@@ -98,7 +104,7 @@ def random_clustering(rng: random.Random, n: int, kmax: int = 20) -> w.Clusterin
 def brute_cut_value(g: w.Graph) -> int:
     """Minimum cut by full bipartition enumeration (independent of mincut.py)."""
     n = g.n
-    edges = list(g.edges())
+    edges = edges_of(g)
     best = None
     for bits in range(1 << (n - 1)):
         side = {0} | {i for i in range(1, n) if bits >> (i - 1) & 1}

@@ -7,6 +7,7 @@ it is asserted as stated and fails; see README for the analysis.
 Everything else passes.
 """
 
+import io
 import json
 import math
 import random
@@ -20,8 +21,13 @@ import pytest
 
 import wellconn as w
 from conftest import enumerate_tables, pair_count_ari, wellconn_env
-from wellconn.clustering import clustering_to_text
 from wellconn.cli import main
+
+
+def clustering_to_text(c: w.Clustering, g: w.Graph) -> str:
+    buf = io.StringIO()
+    w.write_clustering(c, g, buf)
+    return buf.getvalue()
 
 
 @contextmanager

@@ -76,6 +76,12 @@ class TestCategories:
         assert report.clusters[0].min_cut is None
         assert report.proportions["skipped"] == 1.0
 
+    def test_negative_mincut_cap_rejected(self, threshold):
+        g = graph_of(5, [(0, 1), (2, 3), (3, 4)])
+        c = w.Clustering.from_assignment([0, 0, 1, 1, 1])
+        with pytest.raises(w.ContractViolation, match="mincut size cap"):
+            w.connectivity_audit(g, c, threshold, mincut_size_cap=-1)
+
     def test_proportions_sum_to_one(self, threshold):
         rng = random.Random(3)
         for _ in range(15):

@@ -334,6 +334,17 @@ class TestAudit:
              "--output", report_path])
         assert payload_of(report_path)["proportions"]["disconnected"] == 1.0
 
+    def test_negative_mincut_cap_exits_1(self, tmp_path, gadget_files, capsys):
+        g, edgelist, planted, whole = gadget_files
+        report_path = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run(["audit", "--edgelist", edgelist, "--clustering", planted,
+                    "--mincut-cap", "-1", "--output", report_path]) == 1
+        assert capsys.readouterr().err == (
+            "wellconn: error: mincut size cap must be >= 0, got -1\n"
+        )
+        assert not report_path.exists()
+
     def test_zero_log10_has_empty_poor(self, tmp_path, gadget_files):
         g, edgelist, planted, whole = gadget_files
         report_path = tmp_path / "report.json"

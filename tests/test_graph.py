@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import wellconn as w
 from wellconn import graph
-from conftest import as_sources, graph_of, two_cliques
+from conftest import as_sources, edges_of, graph_of, two_cliques
 
 
 def load(text: str, delimiter: str = "\t"):
@@ -141,8 +141,8 @@ class TestGraphStructure:
             # nodes with degree 0 cannot round trip through an edgelist
             assert set(g2.labels) == {g.labels[v] for v in range(g.n) if g.degree(v) > 0}
             assert g2.m == g.m
-            edges_a = {frozenset((g.labels[u], g.labels[v])) for u, v in g.edges()}
-            edges_b = {frozenset((g2.labels[u], g2.labels[v])) for u, v in g2.edges()}
+            edges_a = {frozenset((g.labels[u], g.labels[v])) for u, v in edges_of(g)}
+            edges_b = {frozenset((g2.labels[u], g2.labels[v])) for u, v in edges_of(g2)}
             assert edges_a == edges_b
 
     def test_with_isolated(self):
@@ -245,7 +245,7 @@ class TestConnectedComponents:
             seen[comp] = True
             label[comp] = i
         assert seen.all()
-        for u, v in g.edges():
+        for u, v in edges_of(g):
             assert label[u] == label[v]
 
 

@@ -1,0 +1,178 @@
+"""The connectivity kernel against the breadth-first search and the union-find
+it replaced, and its round bound."""
+
+import math
+
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from wellconn import _kernels
+
+
+def bfs_labels(indptr, adj):
+    """The breadth-first search `connected_labels` used to run."""
+    n = len(indptr) - 1
+    ip = indptr.tolist()
+    nb = adj.tolist()
+    labels = [-1] * n
+    comp = 0
+    for root in range(n):
+        if labels[root] >= 0:
+            continue
+        labels[root] = comp
+        queue = [root]
+        for v in queue:
+            for u in nb[ip[v] : ip[v + 1]]:
+                if labels[u] < 0:
+                    labels[u] = comp
+                    queue.append(u)
+        comp += 1
+    return np.array(labels, np.int64)
+
+
+def union_smaller(nv, pairs):
+    """The union-find the min cut's contraction used to run."""
+    up = list(range(nv))
+
+    def find(x):
+        while up[x] != x:
+            up[x] = up[up[x]]
+            x = up[x]
+        return x
+
+    for a, b in pairs:
+        a = find(a)
+        b = find(b)
+        if a < b:
+            up[b] = a
+        elif b < a:
+            up[a] = b
+    return np.array([find(x) for x in range(nv)], np.int64)
+
+
+def csr_of(n, edges):
+    """Both directions of every edge, duplicates kept, as (indptr, int32 adj)."""
+    e = np.array(edges, np.int64).reshape(-1, 2)
+    src = np.concatenate((e[:, 0], e[:, 1]))
+    dst = np.concatenate((e[:, 1], e[:, 0]))
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order].astype(np.int32)
+
+
+def path_order(kind, n, rng):
+    """Node ids along a path: in order, shuffled or zig-zag (0, n-1, 1, n-2, ...)."""
+    if kind == "in-order":
+        return np.arange(n)
+    if kind == "shuffled":
+        return rng.permutation(n)
+    zig = np.empty(n, np.int64)
+    zig[0::2] = np.arange((n + 1) // 2)
+    zig[1::2] = np.arange(n - 1, (n + 1) // 2 - 1, -1)
+    return zig
+
+
+def path_pairs(order):
+    return np.stack((order[:-1], order[1:]), 1)
+
+
+def random_tree_pairs(n, rng):
+    """Each node after the first joins an earlier one; ids shuffled."""
+    ids = rng.permutation(n)
+    parent = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)
+    return np.stack((ids[1:], ids[parent]), 1)
+
+
+@st.composite
+def graphs(draw):
+    """Multigraphs with isolated nodes, and long paths in three id orders."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["multigraph", "in-order", "shuffled", "zig-zag"]))
+    if kind == "multigraph":
+        n = draw(st.integers(0, 60))
+        m = draw(st.integers(0, 2 * n)) if n else 0
+        edges = rng.integers(0, n, (m, 2)) if n else np.zeros((0, 2), np.int64)
+        return n, edges
+    n = draw(st.sampled_from([0, 1, 2, 3, 1000, 4097]))
+    return n, path_pairs(path_order(kind, n, rng))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(graphs())
+@example((0, np.zeros((0, 2), np.int64)))
+@example((1, np.zeros((0, 2), np.int64)))
+@example((1, np.zeros((2, 2), np.int64)))
+def test_connected_labels_match_bfs(graph):
+    n, edges = graph
+    indptr, adj = csr_of(n, edges)
+    got = _kernels.connected_labels(indptr, adj)
+    assert got.tolist() == bfs_labels(indptr, adj).tolist()
+
+
+@st.composite
+def contractions(draw):
+    """(nv, last, prev, pairs) as the min cut's contraction step sees them."""
+    nv = draw(st.integers(1, 40))
+    pair = st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1))
+    last, prev = draw(pair)
+    return nv, last, prev, draw(st.lists(pair, max_size=3 * nv))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(contractions())
+@example((1, 0, 0, []))
+@example((2, 1, 0, []))
+@example((3, 2, 0, [(1, 1)]))
+def test_contraction_matches_union_find(contraction):
+    nv, last, prev, pairs = contraction
+    rep = union_smaller(nv, [(last, prev), *pairs])
+    is_root = rep == np.arange(nv)
+    expected = (np.cumsum(is_root) - 1)[rep]
+    src = np.array([a for a, _ in pairs], np.int64)
+    dst = np.array([b for _, b in pairs], np.int64)
+    got = _kernels.component_labels(nv, np.append(src, last), np.append(dst, prev))
+    assert got.tolist() == expected.tolist()
+
+
+class RoundCountingNumpy:
+    """numpy, except that each `minimum.at`, one hooking round, is counted."""
+
+    def __init__(self):
+        self.rounds = 0
+        counter = self
+
+        class Minimum:
+            __call__ = staticmethod(np.minimum)
+
+            @staticmethod
+            def at(*args):
+                counter.rounds += 1
+                return np.minimum.at(*args)
+
+        self.minimum = Minimum()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_round_bound(monkeypatch):
+    n = 2**16
+    rng = np.random.default_rng(2026)
+    star_ids = rng.permutation(n)
+    families = {
+        "shuffled path": path_pairs(path_order("shuffled", n, rng)),
+        "zig-zag path": path_pairs(path_order("zig-zag", n, rng)),
+        "random tree": random_tree_pairs(n, rng),
+        "star": np.stack((np.full(n - 1, star_ids[0]), star_ids[1:]), 1),
+    }
+    bound = 2 * math.ceil(math.log2(n)) + 1
+    for name, pairs in families.items():
+        counting = RoundCountingNumpy()
+        monkeypatch.setattr(_kernels, "np", counting)
+        labels = _kernels.component_labels(n, pairs[:, 0], pairs[:, 1])
+        monkeypatch.undo()
+        assert labels.tolist() == [0] * n, name
+        assert 1 <= counting.rounds <= bound, (name, counting.rounds)

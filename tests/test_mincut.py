@@ -13,6 +13,7 @@ from conftest import (
     brute_cut_value,
     clique_edges,
     cycle_edges,
+    edges_of,
     graph_of,
     path_edges,
     random_connected_graph,
@@ -172,7 +173,7 @@ def edmonds_karp_min_cut(g: w.Graph) -> int:
     n = g.n
     best = None
     base = {}
-    for u, v in g.edges():
+    for u, v in edges_of(g):
         base[(u, v)] = 1
         base[(v, u)] = 1
     for t in range(1, n):
