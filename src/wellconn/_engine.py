@@ -38,9 +38,9 @@ from .errors import ContractViolation, TreatmentError
 from .graph import Graph
 
 
-def _apply(idx: int, indptr, adj, members, mark, fn, args: tuple):
+def _apply(idx: int, indptr, adj, members, fn, args: tuple):
     try:
-        return fn(indptr, adj, members, mark, *args)
+        return fn(indptr, adj, members, *args)
     except TreatmentError as exc:  # the same type, naming the input cluster
         raise type(exc)(f"cluster {idx}: {exc}") from exc
 
@@ -68,11 +68,10 @@ def _work(
             os.close(other)
         idx = share[0]
         try:
-            mark = np.full(g.n, -1, np.int64)
             out: list | tuple = []
             for idx in share:
                 members = c.clusters[idx]
-                out.append((idx, _apply(idx, g.indptr, g.adj, members, mark, fn, args)))
+                out.append((idx, _apply(idx, g.indptr, g.adj, members, fn, args)))
         except BaseException as exc:  # sent to the parent, which raises it
             out = (idx, exc)
         try:
@@ -109,14 +108,13 @@ def _died(status: int, share: list[int]) -> TreatmentError:
 
 
 def map_clusters(g: Graph, c: Clustering, fn, args: tuple, processes: int) -> list:
-    """Return [fn(g.indptr, g.adj, members, mark, *args) for members in c.clusters].
+    """Return [fn(g.indptr, g.adj, members, *args) for members in c.clusters].
 
-    `mark` is an int64 scratch buffer of length g.n filled with -1, one per
-    worker, that `fn` must leave filled with -1. At most one worker per
-    cluster is started. A `TreatmentError` from `fn` is raised again, of the
-    same type, with the index of its cluster in front of the message; of
-    several failures, the one of the lowest cluster index. A worker process
-    that dies ends the call with a `TreatmentError` that names its clusters.
+    At most one worker per cluster is started. A `TreatmentError` from `fn`
+    is raised again, of the same type, with the index of its cluster in front
+    of the message; of several failures, the one of the lowest cluster index.
+    A worker process that dies ends the call with a `TreatmentError` that
+    names its clusters.
     """
     if c.n != g.n:
         raise ContractViolation(f"clustering covers {c.n} nodes but graph has {g.n}")
@@ -124,9 +122,8 @@ def map_clusters(g: Graph, c: Clustering, fn, args: tuple, processes: int) -> li
         raise ContractViolation(f"processes must be at least 1, got {processes}")
     workers = min(processes, len(c.clusters))
     if workers <= 1:
-        mark = np.full(g.n, -1, np.int64)
         return [
-            _apply(idx, g.indptr, g.adj, members, mark, fn, args)
+            _apply(idx, g.indptr, g.adj, members, fn, args)
             for idx, members in enumerate(c.clusters)
         ]
     shares = _deal(c.clusters, workers)

@@ -36,31 +36,41 @@ def component_labels(n, a, b):
     return (np.cumsum(lab == np.arange(n)) - 1)[lab]
 
 
+def upper_edges(indptr, adj):
+    """Each undirected edge of a CSR graph once: int64 (u, v), u < v, in CSR order."""
+    n = len(indptr) - 1
+    u = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    v = adj.astype(np.int64)
+    upper = u < v
+    return u[upper], v[upper]
+
+
 def connected_labels(indptr, adj):
     """Component label per node of a CSR graph; labels ordered by smallest node."""
-    n = len(indptr) - 1
-    return component_labels(n, np.repeat(np.arange(n), np.diff(indptr)), adj)
+    return component_labels(len(indptr) - 1, *upper_edges(indptr, adj))
 
 
-def induced_csr(indptr, adj, nodes, mark):
+def induced_csr(indptr, adj, nodes):
     """CSR of the subgraph induced by `nodes` (sorted ascending, relabeled 0..k-1).
 
-    `mark` is a reusable int64 scratch array of global length filled with -1;
-    it is restored to -1 before returning so callers can share one buffer.
+    Returns (indptr, adj) as int64 and int32 arrays. The local-id map is made
+    afresh on every call and written only at `nodes` and their neighbours.
     """
     k = len(nodes)
-    mark[nodes] = np.arange(k)
     starts = indptr[nodes]
     counts = indptr[nodes + 1] - starts
     # positions of every neighbour entry of every node, row by row
     offsets = np.cumsum(counts) - counts
     pos = np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
-    local = mark[adj[pos]]
+    nb = adj[pos]
+    local = np.empty(len(indptr) - 1, np.int64)
+    local[nb] = -1
+    local[nodes] = np.arange(k)
+    local = local[nb]
     inside = local >= 0
     rows = np.repeat(np.arange(k), counts)[inside]
     sub_indptr = np.zeros(k + 1, np.int64)
     np.cumsum(np.bincount(rows, minlength=k), out=sub_indptr[1:])
-    mark[nodes] = -1
     return sub_indptr, local[inside].astype(np.int32)
 
 
@@ -161,6 +171,13 @@ def min_cut_csr(indptr, adj):
     Supervertex ids stay in ascending order of their smallest node, so a
     tie-break on the id is a tie-break on that node.
 
+    The given CSR is the first round's graph as it stands, and its rows may
+    list their neighbours in any order: the ordering pops by (attachment, id)
+    alone and every certificate is read per edge. Each contraction maps the
+    CSR entries to supervertex ids, drops those inside a supervertex and
+    merges parallel ones; their sorted (row, column) keys are the next
+    round's CSR.
+
     Returns (value, side) with side a bool mask whose True part contains
     node 0. The input must be connected, and callers check that first:
     value == -1 only reports a disconnection the scan happens to find (a
@@ -177,25 +194,14 @@ def min_cut_csr(indptr, adj):
         return -1, side
     side[v] = True
 
-    # undirected edge list over supervertex ids, unit weights
-    eu = np.repeat(np.arange(n), deg)
-    ev = adj.astype(np.int64)
-    upper = eu < ev
-    eu, ev = eu[upper], ev[upper]
-    ew = np.ones(len(eu), np.int64)
+    # the contracted graph over supervertex ids: at first the given CSR with
+    # unit weights, src being the row of every entry
+    cindptr, src, dst = indptr, np.repeat(np.arange(n), deg), adj.astype(np.int64)
+    cw = np.ones(len(dst), np.int64)
     sv = np.arange(n)  # supervertex id of every node
     nv = n
 
     while nv >= 2 and best > 1:
-        # CSR of the contracted graph; each row lists its edges in edge order
-        ends = np.stack((eu, ev), 1).ravel()
-        order = np.argsort(ends, kind="stable")
-        src = ends[order]
-        dst = np.stack((ev, eu), 1).ravel()[order]
-        cw = np.repeat(ew, 2)[order]
-        cindptr = np.zeros(nv + 1, np.int64)
-        np.cumsum(np.bincount(src, minlength=nv), out=cindptr[1:])
-
         # star cuts of supervertices are valid cuts of the original graph
         star = np.zeros(nv, np.int64)
         np.add.at(star, src, cw)
@@ -226,15 +232,14 @@ def min_cut_csr(indptr, adj):
         nv = int(newid.max()) + 1
         sv = newid[sv]
 
-        # remap to compact ids, drop collapsed edges, merge parallel edges
-        a, b = newid[eu], newid[ev]
+        # remap to compact ids, drop collapsed entries, merge parallel ones
+        a, b = newid[src], newid[dst]
         kept = a != b
-        a, b = a[kept], b[kept]
-        keys, inv = np.unique(
-            np.minimum(a, b) * nv + np.maximum(a, b), return_inverse=True
-        )
-        ew_merged = np.zeros(len(keys), np.int64)
-        np.add.at(ew_merged, inv, ew[kept])
-        eu, ev, ew = keys // nv, keys % nv, ew_merged
+        keys, inv = np.unique(a[kept] * nv + b[kept], return_inverse=True)
+        cw_merged = np.zeros(len(keys), np.int64)
+        np.add.at(cw_merged, inv, cw[kept])
+        src, dst, cw = keys // nv, keys % nv, cw_merged
+        cindptr = np.zeros(nv + 1, np.int64)
+        np.cumsum(np.bincount(src, minlength=nv), out=cindptr[1:])
 
     return best, side if side[0] else ~side

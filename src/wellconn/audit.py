@@ -89,7 +89,6 @@ def _audit_one(
     indptr: np.ndarray,
     adj: np.ndarray,
     members: np.ndarray,
-    mark: np.ndarray,
     t: ThresholdSpec,
     cap: int | None,
 ) -> tuple[bool, int | None, str, float, bool]:
@@ -98,7 +97,7 @@ def _audit_one(
     if size == 1:
         return True, None, "singleton", t.value(1), False
     bound = t.value(size)
-    si, sa = _kernels.induced_csr(indptr, adj, members, mark)
+    si, sa = _kernels.induced_csr(indptr, adj, members)
     comp = _kernels.connected_labels(si, sa)
     if comp.max() > 0:
         return False, None, "disconnected", bound, False

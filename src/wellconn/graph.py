@@ -69,12 +69,7 @@ class Graph:
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Each undirected edge once, as (u, v) arrays with u < v, sorted."""
-        n = self.n
-        counts = np.diff(self.indptr)
-        src = np.repeat(np.arange(n, dtype=np.int64), counts)
-        dst = self.adj.astype(np.int64)
-        keep = src < dst
-        return src[keep], dst[keep]
+        return _kernels.upper_edges(self.indptr, self.adj)
 
     def digest(self) -> str:
         """Structure fingerprint (labels plus adjacency), hex sha256."""
@@ -390,8 +385,7 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, dict[int, i
     node_arr = np.asarray(sorted(set(int(x) for x in nodes)), dtype=np.int64)
     if node_arr.size and (node_arr[0] < 0 or node_arr[-1] >= g.n):
         raise ContractViolation("induced_subgraph: node index out of range")
-    mark = np.full(g.n, -1, np.int64)
-    sub_indptr, sub_adj = _kernels.induced_csr(g.indptr, g.adj, node_arr, mark)
+    sub_indptr, sub_adj = _kernels.induced_csr(g.indptr, g.adj, node_arr)
     labels = [g.labels[i] for i in node_arr.tolist()]
     mapping = {int(old): new for new, old in enumerate(node_arr.tolist())}
     return Graph(sub_indptr, sub_adj, labels), mapping

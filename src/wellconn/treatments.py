@@ -114,7 +114,10 @@ class ExternalClusterer:
                 for tok in self.command
             ]
             try:
-                proc = subprocess.run(argv, capture_output=True, text=True)
+                # only a tail of the output goes into a message, whatever its bytes
+                proc = subprocess.run(
+                    argv, capture_output=True, text=True, errors="replace"
+                )
             except OSError as exc:
                 raise ExternalClustererError(
                     f"cannot run {argv[0]!r}: {exc}"
@@ -192,7 +195,6 @@ def _process_cluster(
     indptr: np.ndarray,
     adj: np.ndarray,
     nodes: np.ndarray,
-    mark: np.ndarray,
     t: ThresholdSpec,
     clusterer,
     labels: list[str],
@@ -217,14 +219,14 @@ def _process_cluster(
         if size == 1:
             emitted.append(nd)
             continue
-        si, sa = _kernels.induced_csr(indptr, adj, nd, mark)
+        si, sa = _kernels.induced_csr(indptr, adj, nd)
         comp = _kernels.connected_labels(si, sa)
         if comp.max() > 0:
             comp_splits += 1
             if depth + 1 > maxdepth:
                 maxdepth = depth + 1
             parts = [nd[grp] for grp in split_by_label(comp)]
-            for part in _recluster(parts, clusterer, indptr, adj, labels, mark):
+            for part in _recluster(parts, clusterer, indptr, adj, labels):
                 if fast and (len(part) == 1 or 1.0 > t.value(len(part))):
                     # a component that passes any cut: popping it would only
                     # induce it again to emit it
@@ -257,7 +259,7 @@ def _process_cluster(
             continue
         cuts += 1
         parts = [nd[side], nd[~side]]
-        for part in _recluster(parts, clusterer, indptr, adj, labels, mark):
+        for part in _recluster(parts, clusterer, indptr, adj, labels):
             stack.append((part, depth + 1))
     sizes = np.fromiter(map(len, emitted), np.int64, len(emitted))
     members = emitted[0] if len(emitted) == 1 else np.concatenate(emitted)
@@ -270,7 +272,6 @@ def _recluster(
     indptr: np.ndarray,
     adj: np.ndarray,
     labels: list[str],
-    mark: np.ndarray,
 ) -> list[np.ndarray]:
     """Apply the re-clustering step of CM to each part of a split."""
     if clusterer is None or clusterer.trivial_on_connected:
@@ -280,7 +281,7 @@ def _recluster(
         if len(part) == 1:
             out.append(part)
             continue
-        si, sa = _kernels.induced_csr(indptr, adj, part, mark)
+        si, sa = _kernels.induced_csr(indptr, adj, part)
         part_labels = [labels[i] for i in part.tolist()]
         sub = Graph(si, sa, part_labels)
         try:

@@ -1,5 +1,6 @@
 """The connectivity kernel against the breadth-first search and the union-find
-it replaced, and its round bound."""
+it replaced, and its round bound; the induced subgraph against a set-based
+reference; the min cut on rows given in any order."""
 
 import math
 
@@ -176,3 +177,97 @@ def test_round_bound(monkeypatch):
         monkeypatch.undo()
         assert labels.tolist() == [0] * n, name
         assert 1 <= counting.rounds <= bound, (name, counting.rounds)
+
+
+def induced_reference(indptr, adj, nodes):
+    """Rows of the subgraph induced by `nodes`, each in the given row order."""
+    local = {v: i for i, v in enumerate(nodes)}
+    return [
+        [local[u] for u in adj[indptr[v] : indptr[v + 1]].tolist() if u in local]
+        for v in nodes
+    ]
+
+
+@st.composite
+def induced_cases(draw):
+    """A multigraph with isolated nodes and two sorted node subsets of it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 50))
+    m = draw(st.integers(0, 2 * n))
+    edges = rng.integers(0, n, (m, 2))
+    subsets = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(["random", "empty", "one", "all"]))
+        if kind == "random":
+            nodes = np.flatnonzero(rng.random(n) < rng.random())
+        elif kind == "empty":
+            nodes = np.zeros(0, np.int64)
+        elif kind == "one":
+            nodes = np.array([rng.integers(n)], np.int64)
+        else:
+            nodes = np.arange(n, dtype=np.int64)
+        subsets.append(nodes)
+    return n, edges, subsets
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(induced_cases())
+@example((5, np.array([[0, 1], [1, 2]]), [np.arange(5), np.array([1, 3, 4])]))
+def test_induced_csr_matches_reference(case):
+    n, edges, subsets = case
+    indptr, adj = csr_of(n, edges)
+    # two calls in a row on one graph: nothing may carry over between them
+    for nodes in subsets:
+        sub_indptr, sub_adj = _kernels.induced_csr(indptr, adj, nodes)
+        assert sub_indptr.dtype == np.int64 and sub_adj.dtype == np.int32
+        assert len(sub_indptr) == len(nodes) + 1 and sub_indptr[0] == 0
+        rows = [
+            sub_adj[sub_indptr[i] : sub_indptr[i + 1]].tolist()
+            for i in range(len(nodes))
+        ]
+        assert rows == induced_reference(indptr, adj, nodes)
+
+
+@st.composite
+def connected_graphs(draw):
+    """Connected simple graphs on shuffled ids: random graphs over a path, and
+    dense blocks in a ring, where tied cuts lie below the minimum degree."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 40))
+        iu, ju = np.triu_indices(n, 1)
+        keep = rng.random(len(iu)) < draw(st.sampled_from([0.05, 0.2, 0.5]))
+        pairs = [np.stack((iu[keep], ju[keep]), 1), path_pairs(np.arange(n))]
+    else:
+        sizes = rng.integers(4, 10, draw(st.integers(2, 5)))
+        starts = np.cumsum(sizes) - sizes
+        n = int(sizes.sum())
+        pairs = []
+        for b, (start, size) in enumerate(zip(starts, sizes)):
+            iu, ju = np.triu_indices(size, 1)
+            keep = rng.random(len(iu)) < 0.8
+            pairs.append(start + np.stack((iu[keep], ju[keep]), 1))
+            pairs.append(start + path_pairs(np.arange(size)))
+            following = starts[(b + 1) % len(sizes)]
+            joins = np.arange(rng.integers(1, 3))  # ring joins of 1 or 2 edges
+            pairs.append(np.stack((start + joins, following + len(joins) + joins), 1))
+    ids = rng.permutation(n)
+    pairs = ids[np.concatenate(pairs)]
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    return n, np.unique(np.sort(pairs, 1), axis=0), rng
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(connected_graphs())
+def test_min_cut_ignores_row_order(case):
+    n, pairs, rng = case
+    indptr, adj = csr_of(n, pairs)
+    for v in range(n):  # ascending rows, as a Graph holds them
+        adj[indptr[v] : indptr[v + 1]].sort()
+    value, side = _kernels.min_cut_csr(indptr, adj)
+    shuffled = adj.copy()
+    for v in range(n):
+        rng.shuffle(shuffled[indptr[v] : indptr[v + 1]])
+    got_value, got_side = _kernels.min_cut_csr(indptr, shuffled)
+    assert value > 0
+    assert (got_value, got_side.tolist()) == (value, side.tolist())

@@ -373,6 +373,51 @@ class TestExternalClusterer:
             with pytest.raises(ChildProcessError):  # every worker was reaped
                 os.waitpid(-1, os.WNOHANG)
 
+    def _undecodable_stderr_script(self, tmp_path, code: int) -> str:
+        # writes a byte that is not UTF-8 to stderr, then exits with `code`
+        # or puts every node of its part into one cluster
+        return self._script(
+            tmp_path,
+            "import sys\n"
+            "sys.stderr.buffer.write(b'progress \\xe9\\n')\n"
+            f"if {code}:\n"
+            f"    sys.exit({code})\n"
+            "labels = set(open(sys.argv[1]).read().split())\n"
+            "with open(sys.argv[2], 'w') as out:\n"
+            "    out.writelines(v + '\\tall\\n' for v in labels)\n",
+        )
+
+    def _treat_two_triangles(self, tmp_path, clusterer: str, out: str) -> int:
+        # two triangles in one cluster: CM re-clusters each component
+        g = two_cliques(3)
+        w.write_edgelist(g, tmp_path / "net.tsv")
+        w.write_clustering(one_cluster(g), g, tmp_path / "one.tsv")
+        return main(
+            ["treat", "--edgelist", str(tmp_path / "net.tsv"),
+             "--existing-clustering", str(tmp_path / "one.tsv"),
+             "--mode", "cm", "--clusterer", clusterer,
+             "--output-file", str(tmp_path / out)]
+        )
+
+    def test_undecodable_stderr_of_a_success_is_ignored(self, tmp_path):
+        script = self._undecodable_stderr_script(tmp_path, 0)
+        assert self._treat_two_triangles(tmp_path, f"external:{script}", "ext.tsv") == 0
+        assert self._treat_two_triangles(tmp_path, "identity", "identity.tsv") == 0
+        ext = (tmp_path / "ext.tsv").read_bytes()
+        assert ext == (tmp_path / "identity.tsv").read_bytes()
+
+    def test_undecodable_stderr_of_a_failure_is_reported(self, tmp_path, capsys, threshold):
+        script = self._undecodable_stderr_script(tmp_path, 3)
+        g = two_cliques(3)
+        clusterer = w.ExternalClusterer(script)
+        with pytest.raises(w.ExternalClustererError, match="exited 3: progress \ufffd"):
+            w.cm_treatment(g, one_cluster(g), threshold, clusterer)
+        capsys.readouterr()
+        assert self._treat_two_triangles(tmp_path, f"external:{script}", "ext.tsv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wellconn: external clusterer failed: cluster 0: command ")
+        assert "exited 3: progress \ufffd" in err
+
     def test_command_template_validation(self):
         with pytest.raises(w.ContractViolation):
             w.ExternalClusterer("sort")  # no placeholders
