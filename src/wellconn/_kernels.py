@@ -127,10 +127,9 @@ def _ma_ordering(ip, nb, wt, nv):
     """Maximum-adjacency ordering of a weighted CSR graph from vertex 0.
 
     The next vertex is the one most strongly attached to those already
-    scanned, the smallest id among equals. Returns (scanned, last, prev,
-    key of last, qv) where qv[pos] is the attachment of nb[pos] just after
-    its edge at position pos was scanned (0 for edges scanned from the
-    other end).
+    scanned, the smallest id among equals. Returns (scanned, last, prev, qv)
+    where qv[pos] is the attachment of nb[pos] just after its edge at
+    position pos was scanned (0 for edges scanned from the other end).
     """
     wsum = [0] * nv
     done = [False] * nv
@@ -153,20 +152,20 @@ def _ma_ordering(ip, nb, wt, nv):
                 wsum[u] = s
                 qv[pos] = s
                 heappush(heap, u - s * nv)
-    return scanned, last, prev, wsum[last], qv
+    return scanned, last, prev, qv
 
 
 def min_cut_csr(indptr, adj):
     """Exact global minimum edge cut of a connected simple graph in CSR form.
 
-    Maximum-adjacency orderings (Nagamochi-Ibaraki, as in Stoer-Wagner)
-    drive both the cut candidates (the last vertex of each ordering yields a
-    valid cut, as does every supervertex star) and the safe contractions:
-    the final ordering pair always merges, as does any edge whose
-    ordering-time connectivity certificate exceeds the best cut found so
-    far and any edge at least as heavy as that best cut. Candidates only
-    ever replace strictly worse ones, so the first optimum produced by the
-    fixed scan order is returned.
+    The cut candidates are the supervertex stars, each a valid cut of the
+    original graph; an ordering's phase cut, the star of its last vertex, is
+    among them. Maximum-adjacency orderings (Nagamochi-Ibaraki, as in
+    Stoer-Wagner) only certify the safe contractions: the final ordering pair
+    always merges, as does any edge whose ordering-time connectivity
+    certificate exceeds the best cut found so far and any edge at least as
+    heavy as that best cut. Candidates only ever replace strictly worse ones,
+    so the first optimum produced by the fixed scan order is returned.
 
     Supervertex ids stay in ascending order of their smallest node, so a
     tie-break on the id is a tie-break on that node.
@@ -188,11 +187,9 @@ def min_cut_csr(indptr, adj):
     n = len(indptr) - 1
     deg = np.diff(indptr)
     side = np.zeros(n, np.bool_)
-    v = int(np.argmin(deg))
-    best = int(deg[v])
-    if best == 0:
+    if deg.min() == 0:
         return -1, side
-    side[v] = True
+    best = len(adj)  # the degree sum: round 1's star check takes the least degree
 
     # the contracted graph over supervertex ids: at first the given CSR with
     # unit weights, src being the row of every entry
@@ -212,16 +209,11 @@ def min_cut_csr(indptr, adj):
             if best == 1:
                 break
 
-        scanned, last, prev, kappa, qv = _ma_ordering(
+        scanned, last, prev, qv = _ma_ordering(
             cindptr.tolist(), dst.tolist(), cw.tolist(), nv
         )
         if scanned < nv:
             return -1, side
-        if kappa < best:
-            best = kappa
-            side = sv == last
-            if best == 1:
-                break
 
         # contract: the final ordering pair always merges; additionally any
         # edge certified at connectivity > best and any edge weighing >= best

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -31,9 +32,7 @@ from .clustering import (
     read_membership,
     write_clustering,
 )
-from .dl import dl_diff, load_components, pe_for_clustering
 from .errors import ContractViolation, ExternalClustererError, WellconnError
-from .gadgets import KINDS, GadgetSpec, generate, parse_sizes
 from .graph import Graph, induced_subgraph, load_edgelist, write_edgelist, write_lines
 from .metrics import (
     LOG_BASE,
@@ -74,7 +73,9 @@ class _Parser(argparse.ArgumentParser):
 def _sha256(path: str | Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        # 64 KiB reads: 1 MiB ones, taken before the command runs, raised its
+        # peak RSS by about 1 MB
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
 
@@ -92,15 +93,21 @@ def _write_document(target: str | None, manifest: dict, payload: dict) -> None:
     write_lines(sys.stdout if target in (None, "-") else target, [text])
 
 
-def _manifest(subcommand: str, inputs: dict[str, str], options: dict, started: float) -> dict:
+# the options that name input files; main digests each one given before the
+# command runs, so an output written over an input cannot change its digest.
+# Only regular files: a pipe can be read once, and the command must read it.
+_INPUT_OPTIONS = (
+    "edgelist", "existing_clustering", "clustering", "ground_truth", "estimated",
+    "components_before", "components_after",
+)
+
+
+def _manifest(subcommand: str, inputs: dict, options: dict, started: float) -> dict:
     return {
         "tool": "wellconn",
         "version": __version__,
         "subcommand": subcommand,
-        "inputs": {
-            role: {"path": str(path), "sha256": _sha256(path)}
-            for role, path in inputs.items()
-        },
+        "inputs": inputs,
         "options": options,
         "duration_seconds": round(time.monotonic() - started, 3),
     }
@@ -126,8 +133,10 @@ def _setup_logging(log_file: str | None, log_level: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (target, inputs, options, payload), and `main`
-# alone times it, sets up logging and writes the document once it succeeds
+# subcommands: each returns (target, options, payload), and `main` alone
+# times it, sets up logging, digests its inputs and writes the document once
+# it succeeds. dl and generate import their modules themselves, so that no
+# other command loads them.
 
 
 def _cmd_treat(args):
@@ -169,7 +178,6 @@ def _cmd_treat(args):
         "clusters_out": treated.num_clusters,
         "output_sha256": _sha256(args.output_file),
     }
-    inputs = {"edgelist": args.edgelist, "existing_clustering": args.existing_clustering}
     options = {
         "mode": args.mode,
         "threshold": str(threshold),
@@ -177,7 +185,7 @@ def _cmd_treat(args):
         "clusterer": args.clusterer if args.mode == "cm" else None,
         "output_file": str(args.output_file),
     }
-    return args.output_file + ".run.json", inputs, options, payload
+    return args.output_file + ".run.json", options, payload
 
 
 def _cmd_audit(args):
@@ -203,13 +211,12 @@ def _cmd_audit(args):
             for rec in report.clusters
         )
         write_lines(args.per_cluster_table, chain([header], rows))
-    inputs = {"edgelist": args.edgelist, "clustering": args.clustering}
     options = {
         "threshold": str(threshold),
         "num_processors": args.num_processors,
         "mincut_cap": args.mincut_cap,
     }
-    return args.output, inputs, options, report.to_dict()
+    return args.output, options, report.to_dict()
 
 
 def _universe_for_eval(args):
@@ -290,16 +297,14 @@ def _cmd_eval(args):
             **restricted,
         },
     }
-    inputs = {"ground_truth": args.ground_truth, "estimated": args.estimated}
-    if args.edgelist:
-        inputs["edgelist"] = args.edgelist
     options = {"metrics": wanted, "restrict_common": args.restrict_common}
-    return args.output, inputs, options, payload
+    return args.output, options, payload
 
 
 def _cmd_dl(args):
+    from .dl import dl_diff, load_components, pe_for_clustering
+
     payload: dict = {}
-    inputs: dict[str, str] = {}
     if (args.components_before is None) != (args.components_after is None):
         raise ContractViolation(
             "--components-before and --components-after must be given together"
@@ -314,8 +319,6 @@ def _cmd_dl(args):
             "num_blocks": loaded.clustering.num_clusters,
             "num_edges": loaded.graph.m,
         }
-        inputs["edgelist"] = args.edgelist
-        inputs["clustering"] = args.clustering
     if args.components_before and args.components_after:
         before = load_components(args.components_before)
         after = load_components(args.components_after)
@@ -326,20 +329,16 @@ def _cmd_dl(args):
             "unit": before.unit,
         }
         payload["diff"] = diff.to_dict()
-        inputs["components_before"] = args.components_before
-        inputs["components_after"] = args.components_after
     if not payload:
         raise ContractViolation(
             "dl needs --edgelist/--clustering or the two component files"
         )
-    return args.output, inputs, {}, payload
+    return args.output, {}, payload
 
 
 def _cmd_stats(args):
-    inputs = {"clustering": args.clustering}
     if args.edgelist:
         graph, _ = load_edgelist(args.edgelist)
-        inputs["edgelist"] = args.edgelist
     else:
         graph = Graph.from_edges(0, [])
     loaded = load_clustering(args.clustering, graph)
@@ -357,10 +356,12 @@ def _cmd_stats(args):
         **asdict(cluster_stats(clustering)),
         **extra,
     }
-    return args.output, inputs, {}, payload
+    return args.output, {}, payload
 
 
 def _cmd_generate(args):
+    from .gadgets import GadgetSpec, generate, parse_sizes
+
     if args.kind in ("clique-ring", "bridged-cliques"):
         spec = GadgetSpec(
             kind=args.kind,
@@ -391,7 +392,7 @@ def _cmd_generate(args):
         "clustering_sha256": _sha256(args.clustering_out),
     }
     options = {k: v for k, v in vars(args).items() if k != "func"}
-    return args.output, {}, options, payload
+    return args.output, options, payload
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +463,13 @@ def build_parser() -> argparse.ArgumentParser:
     stats.set_defaults(func=_cmd_stats)
 
     gen = subs.add_parser("generate", help="write a synthetic network + clustering")
-    gen.add_argument("--kind", required=True, choices=KINDS)
+    gen.add_argument(
+        "--kind",
+        required=True,
+        choices=(
+            "clique-ring", "bridged-cliques", "planted-partition-lite", "random-gnp"
+        ),
+    )
     gen.add_argument("--num-cliques", type=int, default=2)
     gen.add_argument("--clique-size", type=int, default=10)
     gen.add_argument("--bridges", type=int, default=1)
@@ -489,7 +496,15 @@ def main(argv=None) -> int:
     try:
         started = time.monotonic()
         _setup_logging(args.log_file, args.log_level)
-        target, inputs, options, payload = args.func(args)
+        inputs = {
+            role: {
+                "path": str(path),
+                "sha256": _sha256(path) if os.path.isfile(path) else None,
+            }
+            for role in _INPUT_OPTIONS
+            if (path := getattr(args, role, None))
+        }
+        target, options, payload = args.func(args)
         _write_document(
             target, _manifest(args.subcommand, inputs, options, started), payload
         )

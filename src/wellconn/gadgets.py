@@ -21,8 +21,6 @@ from .clustering import Clustering
 from .errors import ContractViolation
 from .graph import Graph
 
-KINDS = ("clique-ring", "bridged-cliques", "planted-partition-lite", "random-gnp")
-
 # up to this many nodes, edge sampling enumerates all candidate pairs
 _DENSE_SAMPLING_LIMIT = 2048
 

@@ -21,9 +21,6 @@ from __future__ import annotations
 
 import logging
 import os
-import shlex
-import subprocess
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +87,8 @@ class ExternalClusterer:
     trivial_on_connected = False
 
     def __init__(self, command_template: str | list[str]):
+        import shlex  # here, so that treatments without it never load it
+
         tokens = (
             shlex.split(command_template)
             if isinstance(command_template, str)
@@ -105,6 +104,9 @@ class ExternalClusterer:
         self.command = tokens
 
     def cluster(self, graph: Graph) -> Clustering:
+        import subprocess  # here, so that treatments without it never load it
+        import tempfile
+
         with tempfile.TemporaryDirectory(prefix="wellconn-ext-") as tmp:
             in_path = os.path.join(tmp, "part.tsv")
             out_path = os.path.join(tmp, "clusters.tsv")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -615,6 +616,66 @@ class TestManifest:
         for entry in man["inputs"].values():
             assert len(entry["sha256"]) == 64
         assert "duration_seconds" in man
+
+    def test_input_digest_taken_before_an_in_place_treat(self, tmp_path, gadget_files):
+        g, edgelist, planted, whole = gadget_files
+        target = tmp_path / "in-place.tsv"
+        target.write_bytes(whole.read_bytes())
+        before = hashlib.sha256(target.read_bytes()).hexdigest()
+        assert run(["treat", "--edgelist", edgelist, "--existing-clustering", target,
+                    "--mode", "wcc", "--output-file", target]) == 0
+        doc = doc_of(tmp_path / "in-place.tsv.run.json")
+        after = hashlib.sha256(target.read_bytes()).hexdigest()
+        assert after != before
+        assert doc["manifest"]["inputs"]["existing_clustering"]["sha256"] == before
+        assert doc["payload"]["output_sha256"] == after
+
+    def test_input_digest_taken_before_a_table_over_its_input(self, tmp_path, gadget_files):
+        g, edgelist, planted, whole = gadget_files
+        target = tmp_path / "in-place.tsv"
+        target.write_bytes(whole.read_bytes())
+        before = hashlib.sha256(target.read_bytes()).hexdigest()
+        rep = tmp_path / "r.json"
+        assert run(["audit", "--edgelist", edgelist, "--clustering", target,
+                    "--per-cluster-table", target, "--output", rep]) == 0
+        assert target.read_text().startswith("cluster_id\t")
+        assert doc_of(rep)["manifest"]["inputs"]["clustering"]["sha256"] == before
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_input_is_read_by_the_command_alone(self, gadget_files):
+        g, edgelist, planted, whole = gadget_files
+        read, write = os.pipe()
+        os.write(write, edgelist.read_bytes())  # fits the pipe's buffer
+        os.close(write)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wellconn", "stats", "--clustering", whole,
+                 "--edgelist", f"/dev/fd/{read}"],
+                pass_fds=(read,), env=wellconn_env(), capture_output=True, text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(read)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["payload"]["graph_edges"] == g.m
+        assert doc["manifest"]["inputs"]["edgelist"]["sha256"] is None
+
+    def test_every_input_given_is_recorded(self, tmp_path, gadget_files):
+        g, edgelist, planted, whole = gadget_files
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        w.save_components(w.DLComponents(1, 1, 1, 1), before)
+        w.save_components(w.DLComponents(1, 1, 1, 2), after)
+        rep = tmp_path / "r.json"
+        # the edgelist alone computes nothing, and is still an input
+        assert run(["dl", "--edgelist", edgelist, "--components-before", before,
+                    "--components-after", after, "--output", rep]) == 0
+        inputs = doc_of(rep)["manifest"]["inputs"]
+        assert set(inputs) == {"edgelist", "components_before", "components_after"}
+        assert inputs["edgelist"] == {
+            "path": str(edgelist),
+            "sha256": hashlib.sha256(edgelist.read_bytes()).hexdigest(),
+        }
 
     def test_rerun_payload_digest_identical(self, tmp_path, gadget_files):
         g, edgelist, planted, whole = gadget_files

@@ -1,10 +1,13 @@
 """The connectivity kernel against the breadth-first search and the union-find
 it replaced, and its round bound; the induced subgraph against a set-based
-reference; the min cut on rows given in any order."""
+reference; the min cut on rows given in any order, and against the solver
+that also offered each ordering's phase cut."""
 
+import heapq
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -271,3 +274,160 @@ def test_min_cut_ignores_row_order(case):
     got_value, got_side = _kernels.min_cut_csr(indptr, shuffled)
     assert value > 0
     assert (got_value, got_side.tolist()) == (value, side.tolist())
+
+
+def ma_ordering_with_key(ip, nb, wt, nv):
+    """The maximum-adjacency ordering that also returned the last vertex's key."""
+    wsum = [0] * nv
+    done = [False] * nv
+    qv = [0] * len(nb)
+    heap = [0]
+    scanned = last = prev = 0
+    while heap:
+        key, v = divmod(heapq.heappop(heap), nv)
+        if done[v] or key != -wsum[v]:
+            continue
+        done[v] = True
+        scanned += 1
+        prev, last = last, v
+        for pos in range(ip[v], ip[v + 1]):
+            u = nb[pos]
+            if not done[u]:
+                s = wsum[u] + wt[pos]
+                wsum[u] = s
+                qv[pos] = s
+                heapq.heappush(heap, u - s * nv)
+    return scanned, last, prev, wsum[last], qv
+
+
+def phase_cut_min_cut(indptr, adj):
+    """The min cut that took the least degree before its loop and offered
+    each ordering's phase cut, the key of its last vertex, as a candidate."""
+    n = len(indptr) - 1
+    deg = np.diff(indptr)
+    side = np.zeros(n, np.bool_)
+    v = int(np.argmin(deg))
+    best = int(deg[v])
+    if best == 0:
+        return -1, side
+    side[v] = True
+    cindptr, src, dst = indptr, np.repeat(np.arange(n), deg), adj.astype(np.int64)
+    cw = np.ones(len(dst), np.int64)
+    sv = np.arange(n)
+    nv = n
+    while nv >= 2 and best > 1:
+        star = np.zeros(nv, np.int64)
+        np.add.at(star, src, cw)
+        x = int(np.argmin(star))
+        if star[x] < best:
+            best = int(star[x])
+            side = sv == x
+            if best == 1:
+                break
+        scanned, last, prev, kappa, qv = ma_ordering_with_key(
+            cindptr.tolist(), dst.tolist(), cw.tolist(), nv
+        )
+        if scanned < nv:
+            return -1, side
+        if kappa < best:
+            best = kappa
+            side = sv == last
+            if best == 1:
+                break
+        sel = np.flatnonzero((np.array(qv, np.int64) > best) | (cw >= best))
+        newid = _kernels.component_labels(
+            nv, np.append(src[sel], last), np.append(dst[sel], prev)
+        )
+        nv = int(newid.max()) + 1
+        sv = newid[sv]
+        a, b = newid[src], newid[dst]
+        kept = a != b
+        keys, inv = np.unique(a[kept] * nv + b[kept], return_inverse=True)
+        cw_merged = np.zeros(len(keys), np.int64)
+        np.add.at(cw_merged, inv, cw[kept])
+        src, dst, cw = keys // nv, keys % nv, cw_merged
+        cindptr = np.zeros(nv + 1, np.int64)
+        np.cumsum(np.bincount(src, minlength=nv), out=cindptr[1:])
+    return best, side if side[0] else ~side
+
+
+def tie_heavy_pairs(kind, size, rng):
+    """Edges of a graph family whose minimum cut is reached in many places."""
+    if kind == "cycle":
+        n = size + 3
+        return n, path_pairs(np.append(np.arange(n), 0))
+    if kind == "complete":
+        n = size % 9 + 1
+        return n, np.stack(np.triu_indices(n, 1), 1)
+    if kind == "circulant":
+        n = size + 5
+        offsets = 1 + rng.choice(n // 2, rng.integers(1, 3), replace=False)
+        pairs = [np.stack((np.arange(n), (np.arange(n) + k) % n), 1) for k in offsets]
+        return n, np.concatenate(pairs)
+    if kind == "bipartite":
+        a, b = size % 4 + 1, size % 5 + 1
+        left, right = np.meshgrid(np.arange(a), a + np.arange(b))
+        return a + b, np.stack((left.ravel(), right.ravel()), 1)
+    if kind == "hypercube":
+        d = size % 5 + 1
+        nodes = np.arange(2**d)
+        return 2**d, np.concatenate(
+            [np.stack((nodes, nodes ^ (1 << bit)), 1) for bit in range(d)]
+        )
+    if kind == "clique-ring":
+        k, s = size % 3 + 2, size % 4 + 3
+        pairs = [c * s + np.stack(np.triu_indices(s, 1), 1) for c in range(k)]
+        joins = np.arange(rng.integers(1, 3))
+        pairs += [np.stack((c * s + joins, (c + 1) % k * s + joins), 1) for c in range(k)]
+        return k * s, np.concatenate(pairs)
+    n = size % 25 + 1  # G(n, p), connected or not
+    iu, ju = np.triu_indices(n, 1)
+    keep = rng.random(len(iu)) < rng.choice([0.1, 0.3, 0.6, 1.0])
+    return n, np.stack((iu[keep], ju[keep]), 1)
+
+
+@st.composite
+def min_cut_inputs(draw):
+    """Simple graphs on shuffled ids with shuffled rows: tie-heavy families,
+    random graphs, n <= 2, and disjoint unions of two of them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(
+        ["cycle", "complete", "circulant", "bipartite", "hypercube", "clique-ring", "gnp"]
+    )
+    n, pairs = tie_heavy_pairs(draw(kinds), draw(st.integers(0, 40)), rng)
+    if draw(st.integers(0, 3)) == 0:  # a disjoint union of two
+        n2, pairs2 = tie_heavy_pairs(draw(kinds), draw(st.integers(0, 40)), rng)
+        pairs = np.concatenate((pairs, n + pairs2))
+        n += n2
+    pairs = rng.permutation(n)[pairs]
+    pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], 1), axis=0)
+    indptr, adj = csr_of(n, pairs)
+    for v in range(n):
+        rng.shuffle(adj[indptr[v] : indptr[v + 1]])
+    return indptr, adj
+
+
+def tiny(n, edges):
+    return csr_of(n, np.array(edges, np.int64).reshape(-1, 2))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(min_cut_inputs())
+@example(tiny(1, []))
+@example(tiny(2, []))
+@example(tiny(2, [(0, 1)]))
+@example(tiny(3, [(1, 2)]))
+@example(tiny(4, [(0, 1), (2, 3)]))
+@example(tiny(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
+def test_min_cut_matches_phase_cut_solver(graph):
+    indptr, adj = graph
+    value, side = _kernels.min_cut_csr(indptr, adj)
+    expected_value, expected_side = phase_cut_min_cut(indptr, adj)
+    assert (value, side.tolist()) == (expected_value, expected_side.tolist())
+
+
+def test_min_cut_of_no_nodes_raises_as_before():
+    indptr, adj = tiny(0, [])
+    for solver in (_kernels.min_cut_csr, phase_cut_min_cut):
+        with pytest.raises(ValueError):
+            solver(indptr, adj)
