@@ -243,26 +243,25 @@ def _universe_for_eval(args):
     sizes = len(truth_map), len(est_map)
     if restrict:
         # deterministic universe order: the graph's, or truth-file first appearance
-        keep = [
-            lab
-            for lab in (graph.labels if args.edgelist else truth_map)
-            if lab in truth_map and lab in est_map
-        ]
+        common = truth_map.keys() & est_map.keys()
         if args.edgelist:
-            index = graph.label_index()
-            graph, _ = induced_subgraph(graph, [index[lab] for lab in keep])
+            nodes = [v for v, lab in enumerate(graph.labels) if lab in common]
+            graph, _ = induced_subgraph(graph, nodes)
+            keep = graph.labels
+        else:
+            keep = [lab for lab in truth_map if lab in common]
         truth_map = {lab: truth_map[lab] for lab in keep}
         est_map = {lab: est_map[lab] for lab in keep}
-    graph, index = admit(graph, truth_map, est_map)
-    if not index:
+    graph = admit(graph, truth_map, est_map)
+    if graph.n == 0:
         raise ContractViolation("evaluation universe is empty")
     restricted = {
         "restricted": restrict,
         "dropped_truth": sizes[0] - len(truth_map),
         "dropped_estimated": sizes[1] - len(est_map),
     }
-    truth = clustering_from_membership(truth_map, index)
-    return truth, clustering_from_membership(est_map, index), graph, restricted
+    truth = clustering_from_membership(truth_map, graph.labels)
+    return truth, clustering_from_membership(est_map, graph.labels), graph, restricted
 
 
 # eval's scores by name; each looks its metric up in this module when called
@@ -280,6 +279,8 @@ def _cmd_eval(args):
         # agri needs the graph, so it only defaults in when one is given
         args.metrics = "nmi,ari,agri,rmi" if args.edgelist else "nmi,ari,rmi"
     wanted = [tok.strip() for tok in args.metrics.split(",") if tok.strip()]
+    if not wanted:
+        raise ContractViolation(f"no metric given (choose from {sorted(_METRICS)})")
     for tok in wanted:
         if tok not in _METRICS:
             raise ContractViolation(f"unknown metric {tok!r} (choose from {sorted(_METRICS)})")

@@ -263,40 +263,33 @@ def _membership_from_lines(data: bytes | str, newline: str) -> dict[str, str]:
     return membership
 
 
-def admit(g: Graph, *memberships: dict[str, str]) -> tuple[Graph, dict[str, int]]:
+def admit(g: Graph, *memberships: dict[str, str]) -> Graph:
     """The graph extended by every label the memberships name outside it.
 
     The added labels become degree-0 nodes after the graph's own, in order
-    of first appearance, one membership after another. Returns the graph
-    (`g` itself when nothing is added) and its label index.
+    of first appearance, one membership after another (`g` itself when
+    nothing is added).
     """
-    index = g.label_index()
-    extra = dict.fromkeys(lab for m in memberships for lab in m if lab not in index)
-    if not extra:
-        return g, index
-    # the extended graph's index, without building and caching it anew
-    extra_index = {lab: g.n + i for i, lab in enumerate(extra)}
-    return g.with_isolated(list(extra)), {**index, **extra_index}
+    extra = dict.fromkeys(lab for m in memberships for lab in m)
+    for lab in g.labels:
+        extra.pop(lab, None)
+    return g.with_isolated(list(extra))
 
 
 def clustering_from_membership(
-    membership: dict[str, str], label_index: dict[str, int]
+    membership: dict[str, str], labels: list[str]
 ) -> Clustering:
-    """Canonical Clustering of the nodes in `label_index` from a membership map.
+    """Canonical Clustering of the nodes named `labels` from a membership map.
 
     Nodes that share a token share a cluster; nodes the map does not name
-    become singletons; labels that are not in `label_index` are skipped.
+    become singletons; labels the map names outside `labels` are skipped.
     """
-    nodes: list[int] = []
-    token_ids: list[int] = []
-    tokens: dict[str, int] = {}
-    for label, token in membership.items():
-        node = label_index.get(label)
-        if node is not None:
-            nodes.append(node)
-            token_ids.append(tokens.setdefault(token, len(tokens)))
-    assignment = np.full(len(label_index), -1, np.int64)
-    assignment[nodes] = token_ids
+    # None stands for an unnamed node; tokens are strings, so it never clashes
+    tokens: dict[str | None, int] = {None: -1}
+    assignment = np.array(
+        [tokens.setdefault(t, len(tokens)) for t in map(membership.get, labels)],
+        np.int64,
+    )
     free = np.flatnonzero(assignment < 0)
     assignment[free] = len(tokens) + np.arange(len(free))
     return Clustering.from_assignment(assignment)
@@ -305,10 +298,10 @@ def clustering_from_membership(
 def load_clustering(source: str | Path | IO, g: Graph) -> ClusteringLoadResult:
     """Read `node-label <tab> cluster-token` lines into a canonical Clustering."""
     membership = read_membership(source)
-    graph, label_index = admit(g, membership)
+    graph = admit(g, membership)
     unknown = graph.n - g.n
     return ClusteringLoadResult(
-        clustering=clustering_from_membership(membership, label_index),
+        clustering=clustering_from_membership(membership, graph.labels),
         graph=graph,
         unknown_labels=unknown,
         missing_nodes=g.n - (len(membership) - unknown),

@@ -1,7 +1,7 @@
 """Immutable simple undirected graphs with external string labels.
 
 Graphs are stored in CSR form (``indptr``/``adj``) with a dense internal
-index per node. External labels are arbitrary tokens mapped to indices in
+index per node. External labels are distinct tokens mapped to indices in
 first-appearance order of the input stream, which keeps indexing and every
 downstream tie-break reproducible.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -34,16 +35,14 @@ class IngestReport:
 
 
 class Graph:
-    """Simple undirected graph: no self-loops, no parallel edges, immutable."""
+    """Simple undirected graph, immutable: its CSR and one distinct label per node."""
 
-    __slots__ = ("indptr", "adj", "labels", "_label_index", "_digest")
+    __slots__ = ("indptr", "adj", "labels")
 
     def __init__(self, indptr: np.ndarray, adj: np.ndarray, labels: list[str]):
         self.indptr = indptr
         self.adj = adj
         self.labels = labels
-        self._label_index: dict[str, int] | None = None
-        self._digest: str | None = None
 
     @property
     def n(self) -> int:
@@ -62,36 +61,28 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.adj[self.indptr[v] : self.indptr[v + 1]]
 
-    def label_index(self) -> dict[str, int]:
-        if self._label_index is None:
-            self._label_index = {lab: i for i, lab in enumerate(self.labels)}
-        return self._label_index
-
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Each undirected edge once, as (u, v) arrays with u < v, sorted."""
         return _kernels.upper_edges(self.indptr, self.adj)
 
     def digest(self) -> str:
         """Structure fingerprint (labels plus adjacency), hex sha256."""
-        if self._digest is None:
-            h = hashlib.sha256()
-            h.update(b"graph/v1\n")
-            for lab in self.labels:
-                h.update(lab.encode("utf-8"))
-                h.update(b"\n")
-            h.update(np.ascontiguousarray(self.indptr).tobytes())
-            h.update(np.ascontiguousarray(self.adj).tobytes())
-            self._digest = h.hexdigest()
-        return self._digest
+        h = hashlib.sha256()
+        h.update(b"graph/v1\n")
+        for lab in self.labels:
+            h.update(lab.encode("utf-8"))
+            h.update(b"\n")
+        h.update(np.ascontiguousarray(self.indptr).tobytes())
+        h.update(np.ascontiguousarray(self.adj).tobytes())
+        return h.hexdigest()
 
     def with_isolated(self, extra_labels: list[str]) -> "Graph":
         """Copy of this graph extended with degree-0 nodes for `extra_labels`."""
         if not extra_labels:
             return self
-        known = self.label_index()
-        for lab in extra_labels:
-            if lab in known:
-                raise ContractViolation(f"label already present: {lab!r}")
+        present = _unique(extra_labels).intersection(self.labels)
+        if present:
+            raise ContractViolation(f"label already present: {min(present)!r}")
         indptr = np.concatenate(
             [self.indptr, np.full(len(extra_labels), self.indptr[-1], np.int64)]
         )
@@ -115,9 +106,18 @@ class Graph:
         indptr, adj = _build_csr(num_nodes, u, v)
         if labels is None:
             labels = [str(i) for i in range(num_nodes)]
-        elif len(labels) != num_nodes:
+        elif len(_unique(labels)) != num_nodes:
             raise ContractViolation("label count does not match node count")
         return cls(indptr, adj, list(labels))
+
+
+def _unique(labels: list[str]) -> set[str]:
+    """The set of `labels`; a label that repeats raises ContractViolation."""
+    distinct = set(labels)
+    if len(distinct) < len(labels):
+        lab = next(lab for lab, k in Counter(labels).items() if k > 1)
+        raise ContractViolation(f"label repeated: {lab!r}")
+    return distinct
 
 
 def _build_csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -137,13 +137,13 @@ class ExternalClusterer:
                 membership = read_membership(out_path)
             except ClusteringParseError as exc:
                 raise ExternalClustererError(f"external output: {exc}") from None
-            label_index = graph.label_index()
+            known = set(graph.labels)
             for label in membership:
-                if label not in label_index:
+                if label not in known:
                     raise ExternalClustererError(
                         f"external output names unknown node {label!r}: not a partition"
                     )
-            return clustering_from_membership(membership, label_index)
+            return clustering_from_membership(membership, graph.labels)
 
 
 def parse_clusterer(text: str):

@@ -440,6 +440,40 @@ class TestEval:
              "--metrics", "accuracy"]
         ) == 1
 
+    @pytest.mark.parametrize("metrics", ["", ","])
+    def test_empty_metric_list_exit_1(self, tmp_path, gadget_files, capsys, metrics):
+        g, edgelist, planted, whole = gadget_files
+        out = tmp_path / "s.json"
+        assert run(
+            ["eval", "--ground-truth", planted, "--estimated", planted,
+             "--metrics", metrics, "--output", out]
+        ) == 1
+        assert capsys.readouterr().err == (
+            "wellconn: error: no metric given "
+            "(choose from ['agri', 'ari', 'nmi', 'rmi', 'rmi_unnormalized'])\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("truth, est, net", [
+        ("", "", None),
+        # the files share labels, but the graph has no node at all
+        ("a\t0\nb\t1\n", "a\t0\nb\t0\n", ""),
+        # each graph node is named by one file only
+        ("a\t0\nb\t1\n", "b\t0\nc\t0\n", "a\tc\nc\td\n"),
+    ], ids=["empty-files", "empty-graph", "no-node-in-both"])
+    def test_empty_universe_exit_1(self, tmp_path, capsys, truth, est, net):
+        (tmp_path / "t.tsv").write_text(truth)
+        (tmp_path / "e.tsv").write_text(est)
+        argv = ["eval", "--ground-truth", tmp_path / "t.tsv",
+                "--estimated", tmp_path / "e.tsv", "--metrics", "nmi"]
+        if net is not None:
+            (tmp_path / "net.tsv").write_text(net)
+            argv += ["--edgelist", tmp_path / "net.tsv", "--restrict-common"]
+        assert run(argv + ["--output", tmp_path / "s.json"]) == 1
+        assert capsys.readouterr().err == (
+            "wellconn: error: evaluation universe is empty\n"
+        )
+
 
 class TestDl:
     def test_single_cluster_pe_zero(self, tmp_path, gadget_files):

@@ -2,6 +2,7 @@
 
 import io
 import random
+from argparse import Namespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import wellconn as w
 from conftest import as_sources
-from wellconn import clustering
+from wellconn import cli, clustering
 
 
 def triangle():
@@ -294,3 +295,114 @@ class TestMembershipFallback:
             assert membership_outcome(source) == (
                 "error", 3, "clustering line 3: not valid UTF-8 (byte 0xe9)"
             )
+
+
+# ---------------------------------------------------------------------------
+# the join of membership files to graph nodes, against a reference built on a
+# label -> index dict, as the join was first written
+
+
+def ref_admit(g, *memberships):
+    index = {lab: i for i, lab in enumerate(g.labels)}
+    extra = dict.fromkeys(lab for m in memberships for lab in m if lab not in index)
+    if not extra:
+        return g, index
+    extra_index = {lab: g.n + i for i, lab in enumerate(extra)}
+    return g.with_isolated(list(extra)), {**index, **extra_index}
+
+
+def ref_clustering_from_membership(membership, label_index):
+    nodes, token_ids, tokens = [], [], {}
+    for label, token in membership.items():
+        node = label_index.get(label)
+        if node is not None:
+            nodes.append(node)
+            token_ids.append(tokens.setdefault(token, len(tokens)))
+    assignment = np.full(len(label_index), -1, np.int64)
+    assignment[nodes] = token_ids
+    free = np.flatnonzero(assignment < 0)
+    assignment[free] = len(tokens) + np.arange(len(free))
+    return w.Clustering.from_assignment(assignment)
+
+
+def ref_universe(graph, truth_map, est_map, restrict_common):
+    """The eval universe: both clusterings, the graph and the restriction counts."""
+    sizes = len(truth_map), len(est_map)
+    restrict = restrict_common
+    if graph is None:
+        restrict = truth_map.keys() != est_map.keys()
+        if restrict and not restrict_common:
+            raise w.ContractViolation("clustering files cover different node sets")
+    if restrict:
+        order = truth_map if graph is None else graph.labels
+        keep = [lab for lab in order if lab in truth_map and lab in est_map]
+        if graph is not None:
+            index = {lab: i for i, lab in enumerate(graph.labels)}
+            graph, _ = w.induced_subgraph(graph, [index[lab] for lab in keep])
+        truth_map = {lab: truth_map[lab] for lab in keep}
+        est_map = {lab: est_map[lab] for lab in keep}
+    graph, index = ref_admit(graph or w.Graph.from_edges(0, []), truth_map, est_map)
+    if not index:
+        raise w.ContractViolation("evaluation universe is empty")
+    restricted = {
+        "restricted": restrict,
+        "dropped_truth": sizes[0] - len(truth_map),
+        "dropped_estimated": sizes[1] - len(est_map),
+    }
+    truth = ref_clustering_from_membership(truth_map, index)
+    est = ref_clustering_from_membership(est_map, index)
+    return truth, est, graph, restricted
+
+
+def membership_text(membership: dict[str, str]) -> str:
+    return "".join(f"{lab}\t{tok}\n" for lab, tok in membership.items())
+
+
+# a few labels and tokens, so that memberships name graph nodes, miss some,
+# add unknown labels, and share tokens
+join_labels = st.sampled_from("abcdefgh")
+join_memberships = st.dictionaries(join_labels, st.sampled_from("xyz"), max_size=8)
+join_edgelists = st.lists(st.tuples(join_labels, join_labels), max_size=10).map(
+    lambda edges: "".join(f"{u}\t{v}\n" for u, v in edges)
+)
+
+
+class TestJoinReference:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(join_edgelists, join_memberships, join_memberships)
+    def test_load_clustering_and_admit(self, edgelist, membership, other):
+        g, _ = w.load_edgelist(io.StringIO(edgelist))
+        res = w.load_clustering(io.StringIO(membership_text(membership)), g)
+        graph, index = ref_admit(g, membership)
+        unknown = graph.n - g.n
+        assert res.clustering == ref_clustering_from_membership(membership, index)
+        assert res.graph.labels == graph.labels
+        assert res.unknown_labels == unknown
+        assert res.missing_nodes == g.n - (len(membership) - unknown)
+        assert (res.graph is g) == (graph is g)
+        assert clustering.admit(g, membership, other).labels == (
+            ref_admit(g, membership, other)[0].labels
+        )
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.none() | join_edgelists, join_memberships, join_memberships, st.booleans()
+    )
+    def test_eval_universe(self, edgelist, truth_map, est_map, restrict_common):
+        args = Namespace(
+            edgelist=None if edgelist is None else io.StringIO(edgelist),
+            ground_truth=io.StringIO(membership_text(truth_map)),
+            estimated=io.StringIO(membership_text(est_map)),
+            restrict_common=restrict_common,
+        )
+        graph = None if edgelist is None else w.load_edgelist(io.StringIO(edgelist))[0]
+        try:
+            expected = ref_universe(graph, truth_map, est_map, restrict_common)
+        except w.ContractViolation as exc:
+            with pytest.raises(w.ContractViolation, match=str(exc)):
+                cli._universe_for_eval(args)
+            return
+        truth, est, graph, restricted = cli._universe_for_eval(args)
+        ref_truth, ref_est, ref_graph, ref_restricted = expected
+        assert (truth, est, restricted) == (ref_truth, ref_est, ref_restricted)
+        assert graph.digest() == ref_graph.digest()

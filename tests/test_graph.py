@@ -153,6 +153,16 @@ class TestGraphStructure:
         with pytest.raises(w.ContractViolation):
             g2.with_isolated(["a"])
 
+    def test_labels_are_distinct(self):
+        # a repeated label would be written twice by write_clustering, and
+        # read_membership rejects the file that makes
+        g, _ = load("a\tb\n")
+        with pytest.raises(w.ContractViolation, match="label repeated: 'c'"):
+            g.with_isolated(["c", "c"])
+        with pytest.raises(w.ContractViolation, match="label repeated: 'x'"):
+            w.Graph.from_edges(2, [(0, 1)], ["x", "x"])
+        assert w.Graph.from_edges(2, [(0, 1)], ["x", "y"]).labels == ["x", "y"]
+
     def test_digest_changes_with_structure(self):
         g1 = graph_of(3, [(0, 1)])
         g2 = graph_of(3, [(0, 2)])
