@@ -20,8 +20,11 @@ runs them in this process. Otherwise it is a plain fork-join:
 
 Workers are forked, not spawned: they share the parent's CSR arrays
 copy-on-write and skip the re-import of numpy and the package (about 0.2 s,
-more than the per-cluster work of most inputs). wellconn starts no threads of
-its own that a fork could copy in a bad state.
+more than the per-cluster work of most inputs). A command's process has one
+thread when it forks, so no thread's lock can be copied in a held state:
+wellconn starts no threads, and `cli` loads numpy without OpenBLAS's thread
+pool. A library caller that loaded numpy itself may hold that pool's idle
+threads; no cluster's work calls BLAS.
 """
 
 from __future__ import annotations

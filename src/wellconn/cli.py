@@ -4,6 +4,10 @@ Every run writes one self-describing JSON document: a `manifest` block
 (inputs, digests, options, version, wall-clock duration) plus a `payload`
 block holding the actual results. Payloads are byte-reproducible: stable
 key order, LF endings, no timestamps, independent of the worker count.
+
+`main` runs one command in this process and returns its exit code; `run`,
+the console entry point, runs `main` and leaves without the interpreter's
+teardown.
 """
 
 from __future__ import annotations
@@ -18,8 +22,20 @@ import time
 from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
+from typing import NoReturn
 
-import numpy as np
+# numpy's OpenBLAS starts a thread pool at import, sized by this variable,
+# which it reads only then; wellconn makes no BLAS call. A value the caller
+# set is kept, and the process's environment is the caller's again once
+# numpy is loaded, so that the commands a run starts inherit it unchanged.
+if "OPENBLAS_NUM_THREADS" in os.environ:
+    import numpy as np
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import __version__
 from .audit import connectivity_audit
@@ -90,7 +106,13 @@ def _numpy_to_json(value):
 def _write_document(target: str | None, manifest: dict, payload: dict) -> None:
     doc = {"manifest": manifest, "payload": payload}
     text = json.dumps(doc, indent=2, sort_keys=True, default=_numpy_to_json) + "\n"
-    write_lines(sys.stdout if target in (None, "-") else target, [text])
+    if target in (None, "-"):
+        # flushed here, so that a stream that cannot take the document fails
+        # inside main's error handling
+        write_lines(sys.stdout, [text])
+        sys.stdout.flush()
+    else:
+        write_lines(target, [text])
 
 
 # the options that name input files; main digests each one given before the
@@ -521,5 +543,27 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """Console entry point: `main` on the process's arguments, then `os._exit`.
+
+    The interpreter's teardown frees every object after the document is
+    written, which costs tens of milliseconds and changes nothing. So the
+    log handlers are closed and stdout and stderr flushed here, and the
+    process leaves at once. Output that stdout cannot take at this point,
+    such as argparse's `--help` or `--version` text, is reported as an error.
+    """
+    code = main()
+    logging.shutdown()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        # a failure main already reported keeps its message and exit code
+        if code == 0:
+            print(f"wellconn: error: {exc}", file=sys.stderr)
+            code = 1
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -695,6 +695,39 @@ class TestManifest:
         assert doc["payload"]["graph_edges"] == g.m
         assert doc["manifest"]["inputs"]["edgelist"]["sha256"] is None
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["stats", "audit", "--version", "--help"])
+    def test_full_stdout_exits_1(self, command, gadget_files):
+        # block-buffered, as in a shell's `> /dev/full`: the document or
+        # argparse's text fails only when stdout is flushed
+        g, edgelist, planted, whole = gadget_files
+        argv = {
+            "stats": ["stats", "--clustering", whole],
+            "audit": ["audit", "--edgelist", edgelist, "--clustering", whole],
+        }.get(command, [command])
+        env = wellconn_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wellconn", *map(str, argv)],
+                stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr == "wellconn: error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_fails_inside_main(self, gadget_files, monkeypatch, capsys):
+        g, edgelist, planted, whole = gadget_files
+        full = open("/dev/full", "w", encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", full)
+        assert run(["stats", "--clustering", whole]) == 1
+        monkeypatch.undo()
+        with pytest.raises(OSError):
+            full.close()  # the document is still in its buffer
+        assert capsys.readouterr().err == (
+            "wellconn: error: [Errno 28] No space left on device\n"
+        )
+
     def test_every_input_given_is_recorded(self, tmp_path, gadget_files):
         g, edgelist, planted, whole = gadget_files
         before, after = tmp_path / "before.json", tmp_path / "after.json"
