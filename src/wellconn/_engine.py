@@ -1,8 +1,10 @@
-"""One per-cluster engine shared by the treatments and the audit.
+"""One first split and one per-cluster engine, shared by the treatments and the audit.
 
-`map_clusters` applies a function to every cluster of a clustering and
-returns the results in cluster order. With one worker, or one cluster, it
-runs them in this process. Otherwise it is a plain fork-join:
+`first_split` finds the components of every cluster in one pass over the
+graph. Only the clusters that need more (a cut, a peel, a re-clustering or a
+min cut) go to `map_clusters`, which returns their results in cluster order.
+With one worker, or one cluster, it runs them in this process. Otherwise it
+is a plain fork-join:
 
 - Deal. The clusters, largest first, are dealt into one fixed share per
   worker, each to the share with the fewest nodes so far (the lowest share
@@ -36,9 +38,27 @@ import signal
 
 import numpy as np
 
+from . import _kernels
 from .clustering import Clustering
 from .errors import ContractViolation, TreatmentError
-from .graph import Graph
+from .graph import Graph, split_by_label
+
+
+def first_split(g: Graph, c: Clustering) -> tuple[np.ndarray, np.ndarray]:
+    """The connected components of every cluster of `c`, in one pass over `g`.
+
+    Returns the piece of each node, pieces numbered 0..p-1 by their smallest
+    node, and the input cluster of each piece.
+    """
+    if c.n != g.n:
+        raise ContractViolation(f"clustering covers {c.n} nodes but graph has {g.n}")
+    u, v = _kernels.upper_edges(g.indptr, g.adj)
+    inside = c.assignment[u] == c.assignment[v]
+    u, v = u[inside], v[inside]  # the other edges are freed before the kernel runs
+    piece = _kernels.component_labels(g.n, u, v)
+    owner = np.zeros(int(piece.max(initial=-1)) + 1, np.int64)
+    owner[piece] = c.assignment
+    return piece, owner
 
 
 def _apply(idx: int, indptr, adj, members, fn, args: tuple):
@@ -48,19 +68,19 @@ def _apply(idx: int, indptr, adj, members, fn, args: tuple):
         raise type(exc)(f"cluster {idx}: {exc}") from exc
 
 
-def _deal(clusters: list[np.ndarray], workers: int) -> list[list[int]]:
+def _deal(work: dict[int, np.ndarray], workers: int) -> list[list[int]]:
     """Cluster indices of each worker's share, each share in cluster order."""
     shares: list[list[int]] = [[] for _ in range(workers)]
     loads = [(0, j) for j in range(workers)]  # (nodes so far, share) as a heap
-    for idx in sorted(range(len(clusters)), key=lambda i: -len(clusters[i])):
+    for idx in sorted(work, key=lambda i: -len(work[i])):
         nodes, j = loads[0]
         shares[j].append(idx)
-        heapq.heapreplace(loads, (nodes + len(clusters[idx]), j))
+        heapq.heapreplace(loads, (nodes + len(work[idx]), j))
     return [sorted(share) for share in shares]
 
 
 def _work(
-    fd: int, inherited: list[int], share: list[int], g: Graph, c: Clustering, fn, args
+    fd: int, inherited: list[int], share: list[int], g: Graph, work, fn, args
 ) -> None:
     """Body of a worker: run `share`, send one pickle down `fd`, never return."""
     code = 1
@@ -73,8 +93,7 @@ def _work(
         try:
             out: list | tuple = []
             for idx in share:
-                members = c.clusters[idx]
-                out.append((idx, _apply(idx, g.indptr, g.adj, members, fn, args)))
+                out.append((idx, _apply(idx, g.indptr, g.adj, work[idx], fn, args)))
         except BaseException as exc:  # sent to the parent, which raises it
             out = (idx, exc)
         try:
@@ -110,26 +129,32 @@ def _died(status: int, share: list[int]) -> TreatmentError:
     )
 
 
-def map_clusters(g: Graph, c: Clustering, fn, args: tuple, processes: int) -> list:
-    """Return [fn(g.indptr, g.adj, members, *args) for members in c.clusters].
+def map_clusters(
+    g: Graph, c: Clustering, ids: np.ndarray, fn, args: tuple, processes: int
+) -> list:
+    """Return [fn(g.indptr, g.adj, members, *args) for each cluster of `ids`].
 
-    At most one worker per cluster is started. A `TreatmentError` from `fn`
-    is raised again, of the same type, with the index of its cluster in front
-    of the message; of several failures, the one of the lowest cluster index.
-    A worker process that dies ends the call with a `TreatmentError` that
-    names its clusters.
+    `ids` are ascending cluster indices of `c`, and `members` are each
+    cluster's nodes, ascending. At most one worker per cluster is started. A
+    `TreatmentError` from `fn` is raised again, of the same type, with the
+    index of its cluster in front of the message; of several failures, the
+    one of the lowest cluster index. A worker process that dies ends the call
+    with a `TreatmentError` that names its clusters.
     """
-    if c.n != g.n:
-        raise ContractViolation(f"clustering covers {c.n} nodes but graph has {g.n}")
     if processes < 1:
         raise ContractViolation(f"processes must be at least 1, got {processes}")
-    workers = min(processes, len(c.clusters))
+    chosen = np.zeros(c.num_clusters, bool)
+    chosen[ids] = True
+    nodes = np.flatnonzero(chosen[c.assignment])
+    groups = split_by_label(c.assignment[nodes])
+    work = {idx: nodes[grp] for idx, grp in zip(ids.tolist(), groups)}
+    workers = min(processes, len(work))
     if workers <= 1:
         return [
             _apply(idx, g.indptr, g.adj, members, fn, args)
-            for idx, members in enumerate(c.clusters)
+            for idx, members in work.items()
         ]
-    shares = _deal(c.clusters, workers)
+    shares = _deal(work, workers)
     pids: list[int] = []  # started and not yet reaped
     pipes = []  # read end of each worker's pipe, in share order
     try:
@@ -138,11 +163,11 @@ def map_clusters(g: Graph, c: Clustering, fn, args: tuple, processes: int) -> li
             inherited = [rfd, *(pipe.fileno() for pipe in pipes)]
             pid = os.fork()
             if pid == 0:
-                _work(wfd, inherited, share, g, c, fn, args)
+                _work(wfd, inherited, share, g, work, fn, args)
             pids.append(pid)
             os.close(wfd)
             pipes.append(open(rfd, "rb"))
-        results: list = [None] * len(c.clusters)
+        results: dict = {}
         failures = []
         for pid, pipe, share in zip(list(pids), pipes, shares):
             with pipe:
@@ -162,7 +187,7 @@ def map_clusters(g: Graph, c: Clustering, fn, args: tuple, processes: int) -> li
                     results[idx] = result
         if failures:
             raise min(failures, key=lambda failure: failure[0])[1]
-        return results
+        return [results[idx] for idx in work]
     finally:
         for pipe in pipes:
             pipe.close()

@@ -40,9 +40,8 @@ def upper_edges(indptr, adj):
     """Each undirected edge of a CSR graph once: int64 (u, v), u < v, in CSR order."""
     n = len(indptr) - 1
     u = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    v = adj.astype(np.int64)
-    upper = u < v
-    return u[upper], v[upper]
+    upper = u < adj
+    return u[upper], adj[upper].astype(np.int64)
 
 
 def connected_labels(indptr, adj):

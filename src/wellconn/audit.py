@@ -3,9 +3,10 @@
 Each non-singleton cluster is classified as well connected, poorly
 connected, or disconnected under a threshold; singletons form their own
 reporting category so the proportions describe real clusters only.
-Clusters are audited independently through `_engine.map_clusters`, serially
-or on forked worker processes; the report does not depend on the worker
-count.
+Disconnected clusters are found in one pass over the graph
+(`_engine.first_split`); the min cut of each connected cluster is taken
+through `_engine.map_clusters`, serially or on forked worker processes. The
+report does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._engine import map_clusters
+from ._engine import first_split, map_clusters
 from .clustering import (
     Clustering,
     ClusterStats,
@@ -85,28 +86,10 @@ class ConnectivityReport:
         }
 
 
-def _audit_one(
-    indptr: np.ndarray,
-    adj: np.ndarray,
-    members: np.ndarray,
-    t: ThresholdSpec,
-    cap: int | None,
-) -> tuple[bool, int | None, str, float, bool]:
-    """The ClusterAudit fields of one cluster that follow its id and size."""
-    size = len(members)
-    if size == 1:
-        return True, None, "singleton", t.value(1), False
-    bound = t.value(size)
-    si, sa = _kernels.induced_csr(indptr, adj, members)
-    comp = _kernels.connected_labels(si, sa)
-    if comp.max() > 0:
-        return False, None, "disconnected", bound, False
-    if cap is not None and size > cap:
-        return True, None, "skipped", bound, False
-    value, _side = _kernels.min_cut_csr(si, sa)
-    value = int(value)
-    category = "well" if value > bound else "poor"
-    return True, value, category, bound, abs(value - bound) < 1e-9
+def _min_cut(indptr: np.ndarray, adj: np.ndarray, members: np.ndarray) -> int:
+    """The min cut value of one connected cluster."""
+    value, _side = _kernels.min_cut_csr(*_kernels.induced_csr(indptr, adj, members))
+    return int(value)
 
 
 def connectivity_audit(
@@ -120,15 +103,32 @@ def connectivity_audit(
     """Classify every cluster and aggregate the category proportions."""
     if mincut_size_cap is not None and mincut_size_cap < 0:
         raise ContractViolation(f"mincut size cap must be >= 0, got {mincut_size_cap}")
-    verdicts = map_clusters(g, c, _audit_one, (t, mincut_size_cap), processes)
-    records = [
-        ClusterAudit(cid, len(members), *verdict)
-        for cid, (members, verdict) in enumerate(zip(c.clusters, verdicts))
-    ]
-
-    counts = {cat: 0 for cat in CATEGORIES}
-    for rec in records:
-        counts[rec.category] += 1
+    _piece, owner = first_split(g, c)
+    sizes = c.sizes()
+    connected = np.bincount(owner, minlength=len(sizes)) == 1
+    solve = connected & (sizes > 1)
+    if mincut_size_cap is not None:
+        solve &= sizes <= mincut_size_cap
+    ids = np.flatnonzero(solve)
+    cuts = dict(zip(ids.tolist(), map_clusters(g, c, ids, _min_cut, (), processes)))
+    records = []
+    counts = dict.fromkeys(CATEGORIES, 0)
+    for cid, (size, whole) in enumerate(zip(sizes.tolist(), connected.tolist())):
+        bound = t.value(size)
+        value = cuts.get(cid)
+        if size == 1:
+            category = "singleton"
+        elif not whole:
+            category = "disconnected"
+        elif value is None:
+            category = "skipped"
+        else:
+            category = "well" if value > bound else "poor"
+        counts[category] += 1
+        at_boundary = value is not None and abs(value - bound) < 1e-9
+        records.append(
+            ClusterAudit(cid, size, whole, value, category, bound, at_boundary)
+        )
     non_singleton = sum(counts[cat] for cat in CATEGORIES if cat != "singleton")
     proportions = {
         cat: (counts[cat] / non_singleton if non_singleton else 0.0)

@@ -139,6 +139,7 @@ def _setup_logging(log_file: str | None, log_level: int) -> None:
     logger = logging.getLogger("wellconn")
     for handler in list(logger.handlers):
         logger.removeHandler(handler)
+        handler.close()
     if log_level <= 0:
         logger.addHandler(logging.NullHandler())
         logger.setLevel(logging.CRITICAL)

@@ -26,13 +26,12 @@ from .graph import (
 
 
 class Clustering:
-    """A partition of node indices [0, n) into canonical clusters."""
+    """A partition of [0, n): each node's cluster, numbered 0..k-1 by smallest member."""
 
-    __slots__ = ("assignment", "clusters")
+    __slots__ = ("assignment",)
 
-    def __init__(self, assignment: np.ndarray, clusters: list[np.ndarray]):
+    def __init__(self, assignment: np.ndarray):
         self.assignment = assignment
-        self.clusters = clusters
 
     @property
     def n(self) -> int:
@@ -40,7 +39,16 @@ class Clustering:
 
     @property
     def num_clusters(self) -> int:
-        return len(self.clusters)
+        return int(self.assignment.max(initial=-1)) + 1
+
+    def sizes(self) -> np.ndarray:
+        """The number of nodes of each cluster, by cluster id."""
+        return np.bincount(self.assignment)
+
+    @property
+    def clusters(self) -> list[np.ndarray]:
+        """The members of each cluster, ascending, made afresh in O(n) each time."""
+        return split_by_label(self.assignment)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Clustering):
@@ -57,13 +65,11 @@ class Clustering:
         if arr.ndim != 1:
             raise ContractViolation("assignment must be one-dimensional")
         if arr.size == 0:
-            return cls(arr, [])
+            return cls(arr)
         # order cluster ids by first occurrence == minimum member index
         _, first_pos, inverse = np.unique(arr, return_index=True, return_inverse=True)
         rank = np.argsort(np.argsort(first_pos, kind="stable"), kind="stable")
-        canonical = rank[inverse]
-        clusters = split_by_label(canonical)
-        return cls(canonical, clusters)
+        return cls(rank[inverse])
 
     @classmethod
     def from_clusters(
@@ -84,7 +90,7 @@ class Clustering:
         return cls.from_assignment(assignment)
 
     def singletons(self) -> int:
-        return sum(1 for c in self.clusters if len(c) == 1)
+        return int(np.count_nonzero(self.sizes() == 1))
 
 
 @dataclass(frozen=True)
@@ -175,18 +181,19 @@ def node_coverage(c: Clustering) -> float:
     """Percentage of nodes in clusters of size at least two."""
     if c.n == 0:
         return 0.0
-    covered = sum(len(cl) for cl in c.clusters if len(cl) >= 2)
-    return 100.0 * covered / c.n
+    sizes = c.sizes()
+    return 100.0 * int(sizes[sizes >= 2].sum()) / c.n
 
 
 def cluster_stats(c: Clustering) -> ClusterStats:
-    sizes = [len(cl) for cl in c.clusters if len(cl) >= 2]
-    if not sizes:
+    sizes = c.sizes()
+    sizes = sizes[sizes >= 2]
+    if not len(sizes):
         return ClusterStats(0, None, 0, node_coverage(c))
     return ClusterStats(
         non_singleton_count=len(sizes),
         median_nonsingleton_size=float(np.median(sizes)),
-        max_nonsingleton_size=int(max(sizes)),
+        max_nonsingleton_size=int(sizes.max()),
         node_coverage=node_coverage(c),
     )
 
@@ -197,11 +204,10 @@ def is_refinement(fine: Clustering, coarse: Clustering) -> bool:
         raise UniverseMismatch(
             f"clusterings cover different universes: {fine.n} vs {coarse.n} nodes"
         )
-    for members in fine.clusters:
-        targets = coarse.assignment[members]
-        if targets.size and (targets != targets[0]).any():
-            return False
-    return True
+    # the coarse cluster of one member of each fine cluster, which all must share
+    target = np.zeros(fine.num_clusters, np.int64)
+    target[fine.assignment] = coarse.assignment
+    return bool(np.array_equal(target[fine.assignment], coarse.assignment))
 
 
 @dataclass

@@ -273,11 +273,8 @@ def load_edgelist(
     if keys is None:
         return _edgelist_from_lines(data, newline, delimiter)
     del data
-    return _edgelist_from_keys(keys)
-
-
-def _edgelist_from_keys(keys: np.ndarray) -> tuple[Graph, IngestReport]:
-    """The graph of token keys taken two per line, as the per-line loop builds it."""
+    # the bulk path is inline, so that each rebinding of `keys` frees the
+    # array it held: the keys take 8 bytes per token
     pairs = keys.reshape(-1, 2)
     loops = pairs[:, 0] == pairs[:, 1]
     lines_read, self_loops = len(pairs), int(np.count_nonzero(loops))
@@ -393,15 +390,13 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, dict[int, i
 
 def connected_components(g: Graph) -> list[np.ndarray]:
     """Partition of node indices into components, ordered by smallest member."""
-    if g.n == 0:
-        return []
     labels = _kernels.connected_labels(g.indptr, g.adj)
     return split_by_label(labels)
 
 
 def split_by_label(labels: np.ndarray) -> list[np.ndarray]:
-    """Group indices by label value; labels assumed dense from 0."""
+    """The indices of each label, for any integer labels, in ascending label order."""
     order = np.argsort(labels, kind="stable")
     sorted_labels = labels[order]
     boundaries = np.flatnonzero(np.diff(sorted_labels)) + 1
-    return np.split(order.astype(np.int64), boundaries)
+    return np.split(order.astype(np.int64), boundaries) if len(labels) else []

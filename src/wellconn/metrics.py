@@ -58,12 +58,10 @@ def contingency(truth: Clustering, est: Clustering) -> ContingencyTable:
     uniq, counts = np.unique(keys, return_counts=True)
     rows = (uniq // k_est).astype(np.int64)
     cols = (uniq % k_est).astype(np.int64)
-    row_sums = tuple(int(len(c)) for c in truth.clusters)
-    col_sums = tuple(int(len(c)) for c in est.clusters)
     return ContingencyTable(
         n=truth.n,
-        row_sums=row_sums,
-        col_sums=col_sums,
+        row_sums=tuple(truth.sizes().tolist()),
+        col_sums=tuple(est.sizes().tolist()),
         rows=rows,
         cols=cols,
         counts=counts.astype(np.int64),

@@ -10,10 +10,12 @@ piece passes any bound below one edge, so only the component split acts.
 
 The parent graph is never mutated: removing a cut and keeping both sides is
 the same as recursing on the induced subgraphs of the two sides, because
-crossing edges vanish from both. Per-cluster work is independent, so all
-three treatments run each original cluster through `_engine.map_clusters`,
-serially or on forked worker processes. Each cluster's pieces come back as
-one concatenated member array and the piece sizes; outputs are merged
+crossing edges vanish from both. All three treatments take the components
+of every cluster from one pass over the graph (`_engine.first_split`). A
+cluster whose pieces all pass as they are is done there; the others, each
+with a piece to cut, peel or re-cluster, run through `_engine.map_clusters`,
+serially or on forked worker processes. Each such cluster's pieces come back
+as one concatenated member array and the piece sizes; outputs are merged
 canonically and do not depend on the worker count.
 """
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._engine import map_clusters
+from ._engine import first_split, map_clusters
 from .clustering import (
     Clustering,
     ThresholdSpec,
@@ -197,45 +199,46 @@ def _process_cluster(
     indptr: np.ndarray,
     adj: np.ndarray,
     nodes: np.ndarray,
+    piece: np.ndarray,
     t: ThresholdSpec,
     clusterer,
     labels: list[str],
 ) -> tuple[np.ndarray, np.ndarray, int, int, int]:
-    """Run the split queue for one original cluster.
+    """Run the split queue for one original cluster, given the first split.
 
+    `nodes` are its members, and `piece` the first-split piece of each node.
     Returns (members, sizes, cuts_performed, components_splits, max_depth):
     the emitted pieces concatenated in emission order, and their lengths, so
     that a worker sends back two arrays however many pieces there are.
     """
     fast = clusterer is None or clusterer.trivial_on_connected
     emitted: list[np.ndarray] = []
-    cuts = 0
-    comp_splits = 0
-    maxdepth = 0
-    stack: list[tuple[np.ndarray, int]] = [(nodes, 0)]
+    cuts = comp_splits = maxdepth = 0
+    parts = [nodes[grp] for grp in split_by_label(piece[nodes])]
+    depth = int(len(parts) > 1)  # a first split, which the caller counts
+    if depth:
+        parts = _recluster(parts, clusterer, indptr, adj, labels)
+    # (nodes, depth, connected): components are not labelled again, while
+    # the parts of a cut or of a re-clustering are labelled once popped
+    stack = [(part, depth, fast or not depth) for part in parts]
     while stack:
-        nd, depth = stack.pop()
+        nd, depth, connected = stack.pop()
         if depth > maxdepth:
             maxdepth = depth
         size = len(nd)
-        if size == 1:
+        if size == 1 or (connected and 1.0 > t.value(size)):
+            # a connected piece passes any bound below one edge
             emitted.append(nd)
             continue
         si, sa = _kernels.induced_csr(indptr, adj, nd)
-        comp = _kernels.connected_labels(si, sa)
-        if comp.max() > 0:
-            comp_splits += 1
-            if depth + 1 > maxdepth:
-                maxdepth = depth + 1
-            parts = [nd[grp] for grp in split_by_label(comp)]
-            for part in _recluster(parts, clusterer, indptr, adj, labels):
-                if fast and (len(part) == 1 or 1.0 > t.value(len(part))):
-                    # a component that passes any cut: popping it would only
-                    # induce it again to emit it
-                    emitted.append(part)
-                else:
-                    stack.append((part, depth + 1))
-            continue
+        if not connected:
+            comp = _kernels.connected_labels(si, sa)
+            if comp.max() > 0:
+                comp_splits += 1
+                parts = [nd[grp] for grp in split_by_label(comp)]
+                for part in _recluster(parts, clusterer, indptr, adj, labels):
+                    stack.append((part, depth + 1, fast))
+                continue
         bound = t.value(size)
         if 1.0 > bound:
             # any cut of a connected graph is at least 1, so it passes
@@ -251,7 +254,7 @@ def _process_cluster(
                         emitted.append(nd[peeled[i] : peeled[i] + 1])
                     if depth + count > maxdepth:
                         maxdepth = depth + count
-                    stack.append((nd[alive], depth + count))
+                    stack.append((nd[alive], depth + count, False))
                     continue
         value, side = _kernels.min_cut_csr(si, sa)
         if value < 0:
@@ -262,7 +265,7 @@ def _process_cluster(
         cuts += 1
         parts = [nd[side], nd[~side]]
         for part in _recluster(parts, clusterer, indptr, adj, labels):
-            stack.append((part, depth + 1))
+            stack.append((part, depth + 1, False))
     sizes = np.fromiter(map(len, emitted), np.int64, len(emitted))
     members = emitted[0] if len(emitted) == 1 else np.concatenate(emitted)
     return members, sizes, cuts, comp_splits, maxdepth
@@ -299,7 +302,7 @@ def _recluster(
                 "re-clustering returned a non-partition "
                 f"({produced.n} nodes for a {sub.n}-node part)"
             )
-        out.extend(part[grp] for grp in produced.clusters)
+        out.extend(part[grp] for grp in split_by_label(produced.assignment))
     return out
 
 
@@ -310,31 +313,40 @@ def _treat(
     clusterer,
     processes: int,
 ) -> tuple[Clustering, TreatmentTrace]:
-    results = map_clusters(g, c, _process_cluster, (t, clusterer, g.labels), processes)
-    trace = TreatmentTrace(clusters_in=c.num_clusters)
-    assignment = np.full(g.n, -1, np.int64)
-    for idx, (members, sizes, cuts, comp_splits, maxdepth) in enumerate(results):
-        first = trace.clusters_out
-        trace.clusters_out += len(sizes)
-        assignment[members] = np.repeat(np.arange(first, trace.clusters_out), sizes)
+    piece, owner = first_split(g, c)
+    # a cluster runs its split queue if a piece of it may need a cut, or,
+    # under a re-clusterer that is not trivial, if it splits
+    piece_sizes = np.bincount(piece)
+    may_cut = np.zeros(int(piece_sizes.max(initial=0)) + 1, bool)
+    for size in np.flatnonzero(np.bincount(piece_sizes)).tolist():
+        may_cut[size] = size > 1 and t.value(size) >= 1.0
+    run = np.zeros(c.num_clusters, bool)
+    run[owner[may_cut[piece_sizes]]] = True
+    disconnected = np.bincount(owner, minlength=len(run)) > 1
+    if not (clusterer is None or clusterer.trivial_on_connected):
+        run |= disconnected
+    ids = np.flatnonzero(run)
+    results = map_clusters(
+        g, c, ids, _process_cluster, (piece, t, clusterer, g.labels), processes
+    )
+    trace = TreatmentTrace(
+        clusters_in=len(run),
+        components_splits=int(np.count_nonzero(disconnected)),
+        max_recursion_depth=int(disconnected.any()),
+    )
+    assignment = piece
+    next_id = len(owner)
+    for idx, (members, sizes, cuts, comp_splits, maxdepth) in zip(ids.tolist(), results):
+        assignment[members] = np.repeat(np.arange(next_id, next_id + len(sizes)), sizes)
+        next_id += len(sizes)
         trace.cuts_performed += cuts
         trace.components_splits += comp_splits
         trace.max_recursion_depth = max(trace.max_recursion_depth, maxdepth)
-        log.debug(
-            "cluster %d: %d nodes -> %d pieces (%d cuts, %d component splits)",
-            idx,
-            len(c.clusters[idx]),
-            len(sizes),
-            cuts,
-            comp_splits,
-        )
-    log.info(
-        "treatment: %d clusters in, %d out, %d cuts, %d component splits",
-        trace.clusters_in,
-        trace.clusters_out,
-        trace.cuts_performed,
-        trace.components_splits,
-    )
-    if np.any(assignment < 0):
-        raise TreatmentError("treatment produced a non-covering partition")
-    return Clustering.from_assignment(assignment), trace
+        log.debug("cluster %d: %d nodes -> %d pieces (%d cuts, %d later component "
+                  "splits)", idx, len(members), len(sizes), cuts, comp_splits)
+    treated = Clustering.from_assignment(assignment)
+    trace.clusters_out = treated.num_clusters
+    log.info("treatment: %d clusters in, %d out, %d cuts, %d component splits",
+             trace.clusters_in, trace.clusters_out, trace.cuts_performed,
+             trace.components_splits)
+    return treated, trace

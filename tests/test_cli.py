@@ -1,11 +1,13 @@
 """Command-line behavior: files in, files out, exit codes, determinism."""
 
+import gc
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +220,17 @@ class TestTreat:
              "--log-file", logf, "--log-level", "2"])
         text = logf.read_text()
         assert "treatment" in text
+
+    def test_second_run_closes_the_first_log_file(self, tmp_path, gadget_files):
+        g, edgelist, planted, whole = gadget_files
+        argv = ["stats", "--clustering", planted, "--output", tmp_path / "stats.json",
+                "--log-file", tmp_path / "run.log", "--log-level", "1"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert run(argv) == 0
+            assert run(argv) == 0
+            gc.collect()
+        assert [str(warning.message) for warning in caught] == []
 
     def test_worker_that_dies_exits_1(self, tmp_path):
         # the external clusterer kills the worker process that started it; an

@@ -1,5 +1,6 @@
 """The connectivity kernel against the breadth-first search and the union-find
-it replaced, and its round bound; the induced subgraph against a set-based
+it replaced, and its round bound; the whole-graph first split against the
+components of each induced cluster; the induced subgraph against a set-based
 reference; the min cut on rows given in any order, and against the solver
 that also offered each ordering's phase cut."""
 
@@ -12,6 +13,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wellconn import _kernels
+from wellconn._engine import first_split
+from wellconn.clustering import Clustering
+from wellconn.graph import Graph
 
 
 def bfs_labels(indptr, adj):
@@ -180,6 +184,45 @@ def test_round_bound(monkeypatch):
         monkeypatch.undo()
         assert labels.tolist() == [0] * n, name
         assert 1 <= counting.rounds <= bound, (name, counting.rounds)
+
+
+@st.composite
+def clustered_graphs(draw):
+    """A multigraph with isolated nodes, a clustering of it, and an adj dtype."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 50))
+    m = draw(st.integers(0, 2 * n)) if n else 0
+    edges = rng.integers(0, n, (m, 2)) if n else np.zeros((0, 2), np.int64)
+    kind = draw(st.sampled_from(["random", "singletons", "one"]))
+    if kind == "random":
+        assignment = rng.integers(0, draw(st.integers(1, 8)), n)
+    elif kind == "singletons":
+        assignment = np.arange(n)
+    else:
+        assignment = np.zeros(n, np.int64)
+    return n, edges, assignment, draw(st.sampled_from([np.int32, np.int64]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(clustered_graphs())
+@example((0, np.zeros((0, 2), np.int64), np.zeros(0, np.int64), np.int32))
+@example((3, np.zeros((0, 2), np.int64), np.zeros(3, np.int64), np.int64))
+def test_first_split_matches_each_cluster_alone(case):
+    n, edges, assignment, dtype = case
+    indptr, adj = csr_of(n, edges)
+    adj = adj.astype(dtype)
+    c = Clustering.from_assignment(assignment)
+    piece, owner = first_split(Graph(indptr, adj, [str(v) for v in range(n)]), c)
+    # pieces are numbered 0..p-1 in order of their smallest node
+    labels, first = np.unique(piece, return_index=True)
+    assert labels.tolist() == list(range(len(owner)))
+    assert (np.diff(first) > 0).all()
+    assert owner[piece].tolist() == c.assignment.tolist()
+    for members in c.clusters:
+        alone = _kernels.connected_labels(*_kernels.induced_csr(indptr, adj, members))
+        # the cluster's pieces, ranked by label, are its own components
+        ranked = np.unique(piece[members], return_inverse=True)[1]
+        assert ranked.tolist() == alone.tolist()
 
 
 def induced_reference(indptr, adj, nodes):

@@ -34,9 +34,11 @@ PUBLIC_NAMES = [
     "wcc_treatment", "write_clustering", "write_edgelist",
 ]
 
-# modules that treat, audit and eval never run
+# modules that treat, audit and eval never run; numpy.ma is loaded by a bare
+# np.unique(x), which takes a hash path in numpy 2.4
 UNUSED_BY_TREAT_AUDIT_EVAL = (
     "wellconn.dl", "wellconn.gadgets", "wellconn.mincut", "subprocess", "shlex",
+    "numpy.ma",
 )
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import wellconn as w
+from wellconn import treatments
 from wellconn.cli import main
 from conftest import (
     assert_valid_partition,
@@ -63,6 +64,21 @@ class TestCC:
             assert trace.cuts_performed == 0
             assert trace.clusters_in == c.num_clusters
             assert trace.clusters_out == expected.num_clusters
+
+    def test_no_cluster_runs_a_split_queue(self, threshold, monkeypatch):
+        # the first split settles cc, and wcc of clusters under 10 nodes, whose
+        # bound 1log10 is below any cut
+        def split_queue(*args):
+            raise AssertionError("a cluster ran its split queue")
+
+        monkeypatch.setattr(treatments, "_process_cluster", split_queue)
+        rng = random.Random(11)
+        g = random_graph_any(rng, 80, 0.1)
+        c = w.Clustering.from_assignment(np.arange(g.n) // 9)
+        expected = reference_cc(g, c)
+        for processes in (1, 2):
+            assert w.cc_treatment(g, c, processes=processes) == expected
+            assert w.wcc_treatment(g, c, threshold, processes=processes)[0] == expected
 
     def test_idempotent(self):
         rng = random.Random(10)
@@ -264,6 +280,29 @@ class TestCM:
 
         out, _ = w.cm_treatment(g, c, threshold, Exploding())
         assert out == c
+
+    def test_reclustered_parts_end_well_connected(self, threshold):
+        # a re-clusterer that splits each part by the parity of its local ids
+        # returns disconnected clusters, which must be split again
+        class Parity:
+            trivial_on_connected = False
+
+            def cluster(self, graph):
+                return w.Clustering.from_assignment(np.arange(graph.n) % 2)
+
+        rng = random.Random(12)
+        for _ in range(15):
+            g = random_graph_any(rng, rng.randint(2, 60), rng.uniform(0.05, 0.3))
+            c = random_clustering(rng, g.n, kmax=4)
+            out, _ = w.cm_treatment(g, c, threshold, Parity())
+            assert_valid_partition(out, g.n)
+            for members in out.clusters:
+                if len(members) < 2:
+                    continue
+                sub, _ = w.induced_subgraph(g, members)
+                assert len(w.connected_components(sub)) == 1
+                cut = w.global_min_cut(sub)
+                assert w.is_well_connected(cut.value, len(members), threshold)
 
     def test_requires_clusterer(self, threshold):
         g = graph_of(3, [(0, 1), (1, 2)])
