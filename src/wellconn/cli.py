@@ -55,6 +55,7 @@ from .metrics import (
     NMI_NORMALIZATION,
     agri,
     ari,
+    clamped_table_counts,
     nmi,
     rmi,
     table_count_method,
@@ -249,13 +250,16 @@ def _universe_for_eval(args):
     files add. --restrict-common keeps the nodes of the graph, or without one
     the labels of both files, that both files name.
     """
-    truth_map = read_membership(args.ground_truth)
-    est_map = read_membership(args.estimated)
+    # the edgelist is parsed before either membership map exists, so that its
+    # parse, the command's peak, holds neither of them
     if args.edgelist:
         graph, _ = load_edgelist(args.edgelist)
-        restrict = args.restrict_common
     else:
         graph = Graph.from_edges(0, [])
+    truth_map = read_membership(args.ground_truth)
+    est_map = read_membership(args.estimated)
+    restrict = args.restrict_common
+    if not args.edgelist:
         restrict = truth_map.keys() != est_map.keys()
         if restrict and not args.restrict_common:
             raise ContractViolation(
@@ -310,12 +314,16 @@ def _cmd_eval(args):
     if "agri" in wanted and not args.edgelist:
         raise ContractViolation("agri requires --edgelist")
     truth, est, graph, restricted = _universe_for_eval(args)
+    clamped = []
+    if "rmi" in wanted or "rmi_unnormalized" in wanted:
+        clamped = clamped_table_counts(truth, est, normalized="rmi" in wanted)
     payload = {
         "scores": {tok: _METRICS[tok](truth, est, graph) for tok in wanted},
         "metadata": {
             "log_base": LOG_BASE,
             "nmi_normalization": NMI_NORMALIZATION,
             "rmi_normalized": "rmi" in wanted,
+            "rmi_table_count_clamped": clamped,
             "rmi_table_count_method": table_count_method(truth.n),
             "universe_nodes": truth.n,
             **restricted,

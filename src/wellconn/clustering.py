@@ -68,7 +68,8 @@ class Clustering:
             return cls(arr)
         # order cluster ids by first occurrence == minimum member index
         _, first_pos, inverse = np.unique(arr, return_index=True, return_inverse=True)
-        rank = np.argsort(np.argsort(first_pos, kind="stable"), kind="stable")
+        rank = np.empty_like(first_pos)
+        rank[np.argsort(first_pos)] = np.arange(len(first_pos))
         return cls(rank[inverse])
 
     @classmethod

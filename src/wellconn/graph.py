@@ -69,9 +69,8 @@ class Graph:
         """Structure fingerprint (labels plus adjacency), hex sha256."""
         h = hashlib.sha256()
         h.update(b"graph/v1\n")
-        for lab in self.labels:
-            h.update(lab.encode("utf-8"))
-            h.update(b"\n")
+        # every label followed by a newline, in one update
+        h.update("\n".join([*self.labels, ""]).encode("utf-8"))
         h.update(np.ascontiguousarray(self.indptr).tobytes())
         h.update(np.ascontiguousarray(self.adj).tobytes())
         return h.hexdigest()
@@ -124,30 +123,23 @@ def _build_csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.nda
     """CSR arrays from endpoint arrays; normalizes, deduplicates, sorts rows."""
     keep = u != v
     u, v = u[keep], v[keep]
-    # the distinct pairs ordered by (lo, hi): sort plus an adjacent-difference
-    # mask, as a bare np.unique takes a much slower hash path in numpy 2.4
-    keys = np.sort(np.minimum(u, v) * np.int64(n) + np.maximum(u, v))
+    m = len(u)
+    # each edge's two directed keys row * n + column, made in place, sorted
+    # in place and kept where they differ from their predecessor, as a bare
+    # np.unique takes a much slower hash path in numpy 2.4
+    keys = np.empty(2 * m, np.int64)
+    np.multiply(u, n, out=keys[:m])
+    np.multiply(v, n, out=keys[m:])
+    keys[:m] += v
+    keys[m:] += u
     del keep, u, v
-    distinct = np.empty(len(keys), bool)
-    distinct[:1] = True
+    keys.sort()
+    distinct = np.ones(len(keys), bool)
     np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-    lo, hi = np.divmod(keys[distinct], n)
-    del keys, distinct
-    # row r holds its lower neighbours (the pairs with hi == r), then its
-    # upper ones (lo == r), each ascending. In (lo, hi) order the i-th pair
-    # fills slot i + (lower neighbours of rows <= lo) with hi; in (hi, lo)
-    # order, slot i + (upper neighbours of rows < hi) with lo.
-    below = np.bincount(hi, minlength=n)
-    above = np.bincount(lo, minlength=n)
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(below + above, out=indptr[1:])
-    slot = np.arange(len(lo))
-    adj = np.empty(2 * len(lo), np.int32)
-    adj[np.cumsum(below)[lo] + slot] = hi
-    row, col = np.divmod(np.sort(hi * np.int64(n) + lo), n)
-    del lo, hi
-    adj[(np.cumsum(above) - above)[row] + slot] = col
-    return indptr, adj
+    keys = keys[distinct]
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    np.remainder(keys, n, out=keys)
+    return indptr, keys.astype(np.int32)
 
 
 def _read_input(source: str | Path | IO) -> tuple[bytes | str, str]:

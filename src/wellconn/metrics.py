@@ -7,7 +7,8 @@ adjusted-agreement construction restricted to node pairs that are edges of
 the graph. RMI subtracts the information cost of the contingency table
 (the log of the number of tables with the observed margins) from the mutual
 information; the table count is exact for small universes and otherwise
-uses the classical independence approximation of the count.
+uses the classical independence approximation of the count, taken as 0
+where it is negative.
 """
 
 from __future__ import annotations
@@ -182,12 +183,22 @@ def log2_table_count(
 
     The approximation treats row and column constraints as independent:
     count(a) * count(b) / count(total), where count(x) is the number of
-    matrices with only those margins fixed.
+    matrices with only those margins fixed. A negative approximation is
+    taken as 0 (`clamped_table_counts` names where that happened).
     """
-    n = sum(row_sums)
-    method = table_count_method(n)
+    method = table_count_method(sum(row_sums))
     if method == "exact-enumeration":
         return math.log2(count_tables(row_sums, col_sums)), method
+    return max(_independence_estimate(row_sums, col_sums), 0.0), method
+
+
+# an rmi score and its clamped_table_counts ask for the same three estimates
+@lru_cache(maxsize=3)
+def _independence_estimate(
+    row_sums: tuple[int, ...], col_sums: tuple[int, ...]
+) -> float:
+    """log2 of the independence approximation of the table count, unclamped."""
+    n = sum(row_sums)
     r = len(row_sums)
     s = len(col_sums)
     log2e = math.log2(math.e)
@@ -197,12 +208,29 @@ def log2_table_count(
             math.lgamma(a + 1) - math.lgamma(k + 1) - math.lgamma(a - k + 1)
         ) * log2e
 
-    value = (
+    return (
         sum(logc(a + s - 1, s - 1) for a in row_sums)
         + sum(logc(b + r - 1, r - 1) for b in col_sums)
         - logc(n + r * s - 1, r * s - 1)
     )
-    return max(value, 0.0), method
+
+
+def clamped_table_counts(
+    truth: Clustering, est: Clustering, normalized: bool = True
+) -> list[str]:
+    """The table counts an rmi score uses whose estimate was negative, so taken as 0.
+
+    The unnormalized score uses the `joint` table (truth by estimate); the
+    normalized one also uses `truth` and `estimated`, each by itself. With
+    every count clamped, the normalized rmi equals nmi. Exact counts are
+    never clamped.
+    """
+    if table_count_method(truth.n) == "exact-enumeration":
+        return []
+    t, e = tuple(truth.sizes().tolist()), tuple(est.sizes().tolist())
+    tables = {"joint": (t, e), "truth": (t, t), "estimated": (e, e)}
+    names = list(tables) if normalized else ["joint"]
+    return [name for name in names if _independence_estimate(*tables[name]) < 0]
 
 
 def table_count_method(n: int) -> str:

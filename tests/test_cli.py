@@ -446,6 +446,47 @@ class TestEval:
             "exact-enumeration", "independence-approximation"
         )
 
+    @pytest.mark.parametrize("sizes, metrics, clamped", [
+        # two clusters of 100 and 50 singletons: every independence estimate
+        # of the table count is negative, so each is taken as 0
+        ([100, 100] + [1] * 50, "nmi,rmi", ["joint", "truth", "estimated"]),
+        ([100, 100] + [1] * 50, "rmi_unnormalized", ["joint"]),
+        ([100, 100] + [1] * 50, "nmi,ari", []),
+        # two clusters of 15: every estimate is positive
+        ([15, 15], "nmi,rmi", []),
+    ])
+    def test_clamped_table_counts_named(self, tmp_path, sizes, metrics, clamped):
+        truth = np.repeat(np.arange(len(sizes)), sizes)
+        est = np.random.default_rng(3).permutation(truth)
+        for name, ids in (("t", truth), ("e", est)):
+            (tmp_path / f"{name}.tsv").write_text(
+                "".join(f"n{v}\tc{c}\n" for v, c in enumerate(ids)))
+        out = tmp_path / "s.json"
+        assert run(["eval", "--ground-truth", tmp_path / "t.tsv",
+                    "--estimated", tmp_path / "e.tsv", "--metrics", metrics,
+                    "--output", out]) == 0
+        meta, scores = payload_of(out)["metadata"], payload_of(out)["scores"]
+        assert meta["universe_nodes"] == sum(sizes)
+        assert meta["rmi_table_count_method"] == "independence-approximation"
+        assert meta["rmi_table_count_clamped"] == clamped
+        if len(clamped) == 3:
+            assert scores["rmi"] == pytest.approx(scores["nmi"], abs=1e-12)
+
+    def test_edgelist_error_comes_first(self, tmp_path, capsys):
+        # eval parses its edgelist before either clustering file
+        (tmp_path / "net.tsv").write_text("a\tb\nb c\n")
+        (tmp_path / "t.tsv").write_text("a\t0\nb\n")
+        (tmp_path / "e.tsv").write_text("a\t0\nb\t0\n")
+        out = tmp_path / "s.json"
+        assert run(["eval", "--ground-truth", tmp_path / "t.tsv",
+                    "--estimated", tmp_path / "e.tsv",
+                    "--edgelist", tmp_path / "net.tsv", "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            "wellconn: error: edgelist line 2: expected two '\\t'-separated "
+            "tokens, got 'b c'\n"
+        )
+        assert not out.exists()
+
     def test_unknown_metric_exit_1(self, tmp_path, gadget_files):
         g, edgelist, planted, whole = gadget_files
         assert run(
@@ -776,7 +817,7 @@ PINNED_DOCUMENTS = {
     "audit": "1b36fbf63ba8bd155d2b0482e192607e1492535fdb71d66b5c687f9f23549fa9",
     "audit.tsv": "b6dfb27ae1d012737e33e4b6fa5f7a0523ddfad476242080a430ad4ecb808032",
     "dl": "100a9c1aa47e74e81ec3341cd96fb0d4a64678506c457bdf1015b61c3492b3a9",
-    "eval": "37c792cfa995b3c491a718329a05c09275488911e0edddc199277c34d35e0dae",
+    "eval": "73c30dcdb506a4cc4a11120a37107c81d8d43e3eb6ac63d0387c392aa58cd6f4",
     "generate": "ce58915092243837ef1e111c750833a3dbecf0682b0d3d99a116a359ab92c730",
     "stats": "19c1cae6a9713e9bec5974cf57c770eaf2a95015bad19c304fa4be94c96c9445",
     "stats-stdout": "76e10d36edd461a1e5f462bd4dc4efe86c3d9f3c4f73d64d31f089006a0b1de3",
@@ -862,6 +903,7 @@ def eval_payload(scores, universe, dropped=None):
             "nmi_normalization": "arithmetic-mean",
             "restricted": dropped is not None,
             "rmi_normalized": True,
+            "rmi_table_count_clamped": [],
             "rmi_table_count_method": "exact-enumeration",
             "universe_nodes": universe,
         },

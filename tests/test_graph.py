@@ -1,7 +1,9 @@
 """Edgelist ingestion, induced subgraphs, and connected components."""
 
+import hashlib
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +170,14 @@ class TestGraphStructure:
         g2 = graph_of(3, [(0, 2)])
         assert g1.digest() != g2.digest()
         assert g1.digest() == graph_of(3, [(0, 1)]).digest()
+
+    @pytest.mark.parametrize("labels", [[], ["a"], ["a", "é", "c"]])
+    def test_digest_bytes(self, labels):
+        # the version line, each label and a newline, then indptr and adj
+        g = w.Graph.from_edges(len(labels), [(0, 1)] if len(labels) > 1 else [], labels)
+        text = "".join(f"{lab}\n" for lab in labels).encode()
+        data = b"graph/v1\n" + text + g.indptr.tobytes() + g.adj.tobytes()
+        assert g.digest() == hashlib.sha256(data).hexdigest()
 
 
 class TestInducedSubgraph:
@@ -351,3 +361,16 @@ class TestIngestFallback:
             assert adj.dtype == np.int32 and indptr.dtype == np.int64
             assert indptr.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()
             assert adj.tolist() == [x for r in rows for x in r]
+
+    def test_csr_build_memory_bound(self):
+        # one sort of the directed keys: about 34 bytes per input edge at
+        # its peak, against 61 for two sorts with slot arithmetic
+        n, m = 20000, 100000
+        u, v = np.random.default_rng(9).integers(0, n, (2, m))
+        tracemalloc.start()
+        try:
+            graph._build_csr(n, u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / m <= 52
