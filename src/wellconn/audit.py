@@ -3,10 +3,13 @@
 Each non-singleton cluster is classified as well connected, poorly
 connected, or disconnected under a threshold; singletons form their own
 reporting category so the proportions describe real clusters only.
-Disconnected clusters are found in one pass over the graph
-(`_engine.first_split`); the min cut of each connected cluster is taken
-through `_engine.map_clusters`, serially or on forked worker processes. The
-report does not depend on the worker count.
+Disconnected clusters, and each node's degree inside its cluster, are found
+in one pass over the graph (`_engine.first_split`). A connected cluster's
+minimum degree d fixes its min cut when d is 1, or when d is at least half
+its size, rounded down (Chartrand, SIAM J. Appl. Math. 14:778, 1966): the
+min cut is then d. The min cut of every other connected cluster is taken by
+the solver through `_engine.map_clusters`, serially or on forked worker
+processes. The report does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -103,14 +106,18 @@ def connectivity_audit(
     """Classify every cluster and aggregate the category proportions."""
     if mincut_size_cap is not None and mincut_size_cap < 0:
         raise ContractViolation(f"mincut size cap must be >= 0, got {mincut_size_cap}")
-    _piece, owner = first_split(g, c)
+    _piece, owner, degree = first_split(g, c)
     sizes = c.sizes()
     connected = np.bincount(owner, minlength=len(sizes)) == 1
     solve = connected & (sizes > 1)
     if mincut_size_cap is not None:
         solve &= sizes <= mincut_size_cap
-    ids = np.flatnonzero(solve)
-    cuts = dict(zip(ids.tolist(), map_clusters(g, c, ids, _min_cut, (), processes)))
+    delta = np.full(len(sizes), np.iinfo(np.int64).max)
+    np.minimum.at(delta, c.assignment, degree)
+    certified = solve & ((delta == 1) | (delta >= sizes // 2))
+    cuts = dict(zip(np.flatnonzero(certified).tolist(), delta[certified].tolist()))
+    ids = np.flatnonzero(solve & ~certified)
+    cuts.update(zip(ids.tolist(), map_clusters(g, c, ids, _min_cut, (), processes)))
     records = []
     counts = dict.fromkeys(CATEGORIES, 0)
     for cid, (size, whole) in enumerate(zip(sizes.tolist(), connected.tolist())):

@@ -208,9 +208,12 @@ def _independence_estimate(
             math.lgamma(a + 1) - math.lgamma(k + 1) - math.lgamma(a - k + 1)
         ) * log2e
 
+    # one term per distinct sum, added up in the margins' order
+    row_term = {a: logc(a + s - 1, s - 1) for a in set(row_sums)}
+    col_term = {b: logc(b + r - 1, r - 1) for b in set(col_sums)}
     return (
-        sum(logc(a + s - 1, s - 1) for a in row_sums)
-        + sum(logc(b + r - 1, r - 1) for b in col_sums)
+        sum(map(row_term.__getitem__, row_sums))
+        + sum(map(col_term.__getitem__, col_sums))
         - logc(n + r * s - 1, r * s - 1)
     )
 

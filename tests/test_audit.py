@@ -2,13 +2,19 @@
 
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 
 import wellconn as w
+from wellconn import _kernels
+from wellconn.mincut import BRUTE_FORCE_MAX_NODES
 from conftest import (
     clique_edges,
+    cycle_edges,
+    edges_of,
     graph_of,
+    path_edges,
     random_clustering,
     random_graph_any,
     two_cliques,
@@ -120,6 +126,124 @@ class TestCategories:
         g = graph_of(3, [(0, 1)])
         with pytest.raises(w.ContractViolation):
             w.connectivity_audit(g, w.Clustering.from_assignment([0, 0]), threshold)
+
+
+def certified_edges(rng: random.Random, n: int) -> set[tuple[int, int]]:
+    """A random connected simple graph on n >= 2 nodes whose minimum degree
+    is 1, or at least n // 2 (which makes it connected)."""
+    if rng.random() < 0.3:
+        # a random connected graph on the first n - 1 nodes, and a pendant node
+        edges = {(rng.randrange(v), v) for v in range(1, n - 1)}
+        p = rng.uniform(0.0, 0.5)
+        edges |= {e for e in clique_edges(n - 1) if rng.random() < p}
+        edges.add((rng.randrange(n - 1), n - 1))
+        return edges
+    # a random graph whose low nodes are then joined to random others, so
+    # that most minimum degrees land on n // 2 or just above it
+    p = rng.uniform(0.2, 0.9)
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for a, b in clique_edges(n):
+        if rng.random() < p:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    for v in range(n):
+        while len(nbrs[v]) < n // 2:
+            u = rng.choice([u for u in range(n) if u != v and u not in nbrs[v]])
+            nbrs[v].add(u)
+            nbrs[u].add(v)
+    return {(a, b) for a in range(n) for b in nbrs[a] if a < b}
+
+
+def solver_calls(monkeypatch) -> list[int]:
+    """Sizes of the graphs audit hands to the min-cut solver, in call order."""
+    calls: list[int] = []
+    solve = _kernels.min_cut_csr
+
+    def counted(indptr, adj):
+        calls.append(len(indptr) - 1)
+        return solve(indptr, adj)
+
+    monkeypatch.setattr(_kernels, "min_cut_csr", counted)
+    return calls
+
+
+class TestDegreeCertificate:
+    """A connected cluster of minimum degree 1, or of minimum degree d at least
+    half its size rounded down, has min cut d (Chartrand 1966), which audit
+    reads without the solver."""
+
+    def test_certified_cut_matches_oracles(self, threshold, monkeypatch):
+        rng = random.Random(7)
+        edges, assignment, expected = [], [], []
+        for cid in range(150):
+            n = rng.randint(2, 40)
+            own = sorted(certified_edges(rng, n))
+            degree = np.bincount(np.array(own).ravel(), minlength=n)
+            if n <= BRUTE_FORCE_MAX_NODES:
+                value = w.brute_force_min_cut(graph_of(n, own)).value
+            else:
+                value = int(nx.stoer_wagner(nx.Graph(own))[0])
+            assert value == degree.min()
+            expected.append(value)
+            edges += [(a + len(assignment), b + len(assignment)) for a, b in own]
+            assignment += [cid] * n
+        # edges between clusters count toward no cluster's degree
+        for _ in range(300):
+            a, b = rng.randrange(len(assignment)), rng.randrange(len(assignment))
+            if assignment[a] != assignment[b]:
+                edges.append((a, b))
+        g = graph_of(len(assignment), edges)
+        c = w.Clustering.from_assignment(assignment)
+        calls = solver_calls(monkeypatch)
+        report = w.connectivity_audit(g, c, threshold)
+        assert calls == []
+        assert [rec.min_cut for rec in report.clusters] == expected
+        assert all(type(rec.min_cut) is int for rec in report.clusters)
+
+    @staticmethod
+    def mixed():
+        """A path, a clique, a cycle, two bridged cliques, a singleton and a
+        disconnected pair, each a cluster, in that order."""
+        parts = [
+            path_edges(10),  # minimum degree 1: certified, cut 1
+            clique_edges(8),  # 7 >= 8 // 2: certified, cut 7
+            cycle_edges(10),  # 2 < 10 // 2: solved, cut 2
+            edges_of(two_cliques(6, bridges=1)),  # 5 < 12 // 2: solved, cut 1
+            [],
+            [],
+        ]
+        sizes = [10, 8, 10, 12, 1, 2]
+        edges, offset = [], 0
+        for part, size in zip(parts, sizes):
+            edges += [(a + offset, b + offset) for a, b in part]
+            offset += size
+        edges.append((0, offset - 1))  # joins the path to the disconnected pair
+        g = graph_of(offset, edges)
+        return g, w.Clustering.from_assignment(np.repeat(np.arange(6), sizes))
+
+    def test_solver_runs_only_on_uncertified_clusters(self, threshold, monkeypatch):
+        g, c = self.mixed()
+        calls = solver_calls(monkeypatch)
+        report = w.connectivity_audit(g, c, threshold)
+        assert calls == [10, 12]
+        assert [rec.min_cut for rec in report.clusters] == [1, 7, 2, 1, None, None]
+        assert [rec.category for rec in report.clusters] == [
+            "poor", "well", "well", "poor", "singleton", "disconnected",
+        ]
+        for processes in (2, 3):
+            parallel = w.connectivity_audit(g, c, threshold, processes=processes)
+            assert parallel.to_dict() == report.to_dict()
+
+    def test_cap_applies_before_the_certificate(self, threshold, monkeypatch):
+        g, c = self.mixed()
+        calls = solver_calls(monkeypatch)
+        report = w.connectivity_audit(g, c, threshold, mincut_size_cap=9)
+        assert calls == []
+        # the path is certified and over the cap, so it stays skipped
+        assert [rec.min_cut for rec in report.clusters] == [None, 7, None, None, None, None]
+        assert [rec.category for rec in report.clusters] == [
+            "skipped", "well", "skipped", "skipped", "singleton", "disconnected",
+        ]
 
 
 class TestDelta:

@@ -212,17 +212,22 @@ def test_first_split_matches_each_cluster_alone(case):
     indptr, adj = csr_of(n, edges)
     adj = adj.astype(dtype)
     c = Clustering.from_assignment(assignment)
-    piece, owner = first_split(Graph(indptr, adj, [str(v) for v in range(n)]), c)
+    piece, owner, degree = first_split(Graph(indptr, adj, [str(v) for v in range(n)]), c)
     # pieces are numbered 0..p-1 in order of their smallest node
     labels, first = np.unique(piece, return_index=True)
     assert labels.tolist() == list(range(len(owner)))
     assert (np.diff(first) > 0).all()
     assert owner[piece].tolist() == c.assignment.tolist()
     for members in c.clusters:
-        alone = _kernels.connected_labels(*_kernels.induced_csr(indptr, adj, members))
+        si, sa = _kernels.induced_csr(indptr, adj, members)
+        alone = _kernels.connected_labels(si, sa)
         # the cluster's pieces, ranked by label, are its own components
         ranked = np.unique(piece[members], return_inverse=True)[1]
         assert ranked.tolist() == alone.tolist()
+        # the degrees are the induced rows' lengths, self-loops left out
+        rows = np.repeat(np.arange(len(members)), np.diff(si))
+        own = np.bincount(rows[sa != rows], minlength=len(members))
+        assert degree[members].tolist() == own.tolist()
 
 
 def induced_reference(indptr, adj, nodes):

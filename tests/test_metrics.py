@@ -15,7 +15,7 @@ from conftest import (
     pair_count_ari,
     random_graph_any,
 )
-from wellconn.metrics import count_tables, log2_table_count
+from wellconn.metrics import _independence_estimate, count_tables, log2_table_count
 
 
 def cl(assignment):
@@ -203,6 +203,27 @@ class TestTableCounts:
     def test_approx_exact_for_single_row(self):
         value, _ = log2_table_count((30,), (10, 10, 10))
         assert value == pytest.approx(0.0, abs=1e-9)
+
+    def test_estimate_equals_its_term_by_term_sum(self):
+        # one lgamma term per distinct margin, summed in the margins' order,
+        # gives the bits of one term per margin
+        def logc(a, k):
+            return (math.lgamma(a + 1) - math.lgamma(k + 1)
+                    - math.lgamma(a - k + 1)) * math.log2(math.e)
+
+        def margin():
+            return tuple(rng.choice((1, 1, 1, 2, 3, 50)) for _ in range(rng.randint(1, 300)))
+
+        rng = random.Random(17)
+        for _ in range(30):
+            rows, cols = margin(), margin()
+            r, s, n = len(rows), len(cols), sum(rows)
+            expected = (
+                sum(logc(a + s - 1, s - 1) for a in rows)
+                + sum(logc(b + r - 1, r - 1) for b in cols)
+                - logc(n + r * s - 1, r * s - 1)
+            )
+            assert _independence_estimate(rows, cols) == expected
 
 
 class TestRMI:
