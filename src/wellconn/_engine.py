@@ -45,16 +45,16 @@ from .graph import Graph, split_by_label
 
 
 def first_split(
-    g: Graph, c: Clustering
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    g: Graph, c: Clustering, *, degrees: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The connected components of every cluster of `c`, in one pass over `g`.
 
     Returns the piece of each node, pieces numbered 0..p-1 by their smallest
-    node, the input cluster of each piece, and each node's degree inside its
-    cluster. The degrees let a caller read some min cuts without the solver:
-    a connected cluster with a node of degree 1 has min cut 1, and one whose
-    minimum degree d is at least half its size, rounded down, has min cut d
-    (Chartrand, SIAM J. Appl. Math. 14:778, 1966).
+    node, the input cluster of each piece, and, if `degrees`, each node's
+    degree inside its cluster (else None). The degrees let a caller read some
+    min cuts without the solver: a connected cluster with a node of degree 1
+    has min cut 1, and one whose minimum degree d is at least half its size,
+    rounded down, has min cut d (Chartrand, SIAM J. Appl. Math. 14:778, 1966).
     """
     if c.n != g.n:
         raise ContractViolation(f"clustering covers {c.n} nodes but graph has {g.n}")
@@ -62,9 +62,10 @@ def first_split(
     inside = c.assignment[u] == c.assignment[v]
     u, v = u[inside], v[inside]  # the other edges are freed before the kernel runs
     piece = _kernels.component_labels(g.n, u, v)
-    # taken after the kernel, whose first round sets the peak
-    degree = np.bincount(u, minlength=g.n)
-    degree += np.bincount(v, minlength=g.n)
+    degree = None
+    if degrees:  # taken after the kernel, whose first round sets the peak
+        degree = np.bincount(u, minlength=g.n)
+        degree += np.bincount(v, minlength=g.n)
     owner = np.zeros(int(piece.max(initial=-1)) + 1, np.int64)
     owner[piece] = c.assignment
     return piece, owner, degree

@@ -106,7 +106,7 @@ def connectivity_audit(
     """Classify every cluster and aggregate the category proportions."""
     if mincut_size_cap is not None and mincut_size_cap < 0:
         raise ContractViolation(f"mincut size cap must be >= 0, got {mincut_size_cap}")
-    _piece, owner, degree = first_split(g, c)
+    _piece, owner, degree = first_split(g, c, degrees=True)
     sizes = c.sizes()
     connected = np.bincount(owner, minlength=len(sizes)) == 1
     solve = connected & (sizes > 1)

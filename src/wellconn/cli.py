@@ -20,7 +20,6 @@ import os
 import sys
 import time
 from dataclasses import asdict
-from importlib import import_module
 from itertools import chain
 from pathlib import Path
 from typing import NoReturn
@@ -39,6 +38,7 @@ else:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import __version__
+from .audit import connectivity_audit
 from .clustering import (
     ThresholdSpec,
     admit,
@@ -50,41 +50,24 @@ from .clustering import (
 )
 from .errors import ContractViolation, ExternalClustererError, WellconnError
 from .graph import Graph, induced_subgraph, load_edgelist, write_edgelist, write_lines
+from .metrics import (
+    LOG_BASE,
+    NMI_NORMALIZATION,
+    agri,
+    ari,
+    clamped_table_counts,
+    nmi,
+    rmi,
+    table_count_method,
+)
+from .treatments import (
+    cc_treatment_with_trace,
+    cm_treatment,
+    parse_clusterer,
+    wcc_treatment,
+)
 
 log = logging.getLogger("wellconn")
-
-# the names this module takes from the modules of one command each; a command
-# binds its module's names when it starts, so that no command loads another's
-_COMMAND_NAMES = {
-    "audit": ("connectivity_audit",),
-    "metrics": (
-        "LOG_BASE", "NMI_NORMALIZATION", "agri", "ari", "clamped_table_counts",
-        "nmi", "rmi", "table_count_method",
-    ),
-    "treatments": (
-        "cc_treatment_with_trace", "cm_treatment", "parse_clusterer", "wcc_treatment",
-    ),
-}
-
-
-def _bind(module: str) -> None:
-    """Import `module` of the package and bind the names `cli` takes from it.
-
-    A name already bound keeps its value, so one replaced from outside, as
-    by a tracing wrapper or a test's monkeypatch, stays in place.
-    """
-    mod = import_module(f".{module}", __package__)
-    for name in _COMMAND_NAMES[module]:
-        globals().setdefault(name, getattr(mod, name))
-
-
-def __getattr__(name: str):
-    """Bind a command's name on its first access from outside (PEP 562)."""
-    for module, names in _COMMAND_NAMES.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,7 +98,7 @@ def _sha256(path: str | Path) -> str:
 
 
 def _numpy_to_json(value):
-    """`json.dumps` hook: numpy arrays and scalars as Python lists and numbers."""
+    """JSON encoder hook: numpy arrays and scalars as Python lists and numbers."""
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
@@ -123,14 +106,17 @@ def _numpy_to_json(value):
 
 def _write_document(target: str | None, manifest: dict, payload: dict) -> None:
     doc = {"manifest": manifest, "payload": payload}
-    text = json.dumps(doc, indent=2, sort_keys=True, default=_numpy_to_json) + "\n"
+    # written as it is encoded: the whole text of a large audit would set the
+    # command's peak memory
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, default=_numpy_to_json)
+    text = chain(encoder.iterencode(doc), ["\n"])
     if target in (None, "-"):
         # flushed here, so that a stream that cannot take the document fails
         # inside main's error handling
-        write_lines(sys.stdout, [text])
+        write_lines(sys.stdout, text)
         sys.stdout.flush()
     else:
-        write_lines(target, [text])
+        write_lines(target, text)
 
 
 # the options that name input files; main digests each one given before the
@@ -176,12 +162,11 @@ def _setup_logging(log_file: str | None, log_level: int) -> None:
 # ---------------------------------------------------------------------------
 # subcommands: each returns (target, options, payload), and `main` alone
 # times it, sets up logging, digests its inputs and writes the document once
-# it succeeds. Each imports the modules only it uses when it starts, so that
-# no other command loads them.
+# it succeeds. dl and generate import their modules themselves, so that no
+# other command loads them.
 
 
 def _cmd_treat(args):
-    _bind("treatments")
     threshold = ThresholdSpec.parse(args.threshold)
     graph, ingest = load_edgelist(args.edgelist)
     loaded = load_clustering(args.existing_clustering, graph)
@@ -231,7 +216,6 @@ def _cmd_treat(args):
 
 
 def _cmd_audit(args):
-    _bind("audit")
     threshold = ThresholdSpec.parse(args.threshold)
     graph, _ingest = load_edgelist(args.edgelist)
     loaded = load_clustering(args.clustering, graph)
@@ -321,7 +305,6 @@ _METRICS = {
 
 
 def _cmd_eval(args):
-    _bind("metrics")
     if args.metrics is None:
         # agri needs the graph, so it only defaults in when one is given
         args.metrics = "nmi,ari,agri,rmi" if args.edgelist else "nmi,ari,rmi"

@@ -244,21 +244,18 @@ def _process_cluster(
             # any cut of a connected graph is at least 1, so it passes
             emitted.append(nd)
             continue
-        degree_min = int(np.min(np.diff(si)))
-        if fast and degree_min <= bound:
-            alive, peeled, count = _kernels.low_degree_peel(si, sa, t.value)
-            if count > 0:  # guard: an empty batch must not re-enqueue
-                cuts += count
-                for i in range(count):
-                    emitted.append(nd[peeled[i] : peeled[i] + 1])
-                if depth + count > maxdepth:
-                    maxdepth = depth + count
-                stack.append((nd[alive], depth + count, False))
-                continue
-        if degree_min > bound and degree_min >= size // 2:
-            # the min cut is the minimum degree (Chartrand), so it passes
-            emitted.append(nd)
-            continue
+        if fast:
+            degree_min = int(np.min(np.diff(si)))
+            if degree_min <= bound:
+                alive, peeled, count = _kernels.low_degree_peel(si, sa, t.value)
+                if count > 0:  # guard: an empty batch must not re-enqueue
+                    cuts += count
+                    for i in range(count):
+                        emitted.append(nd[peeled[i] : peeled[i] + 1])
+                    if depth + count > maxdepth:
+                        maxdepth = depth + count
+                    stack.append((nd[alive], depth + count, False))
+                    continue
         value, side = _kernels.min_cut_csr(si, sa)
         if value < 0:
             raise TreatmentError("cluster became disconnected unexpectedly")
@@ -316,7 +313,7 @@ def _treat(
     clusterer,
     processes: int,
 ) -> tuple[Clustering, TreatmentTrace]:
-    piece, owner, _degree = first_split(g, c)
+    piece, owner, _ = first_split(g, c)
     # a cluster runs its split queue if a piece of it may need a cut, or,
     # under a re-clusterer that is not trivial, if it splits
     piece_sizes = np.bincount(piece)

@@ -212,7 +212,9 @@ def test_first_split_matches_each_cluster_alone(case):
     indptr, adj = csr_of(n, edges)
     adj = adj.astype(dtype)
     c = Clustering.from_assignment(assignment)
-    piece, owner, degree = first_split(Graph(indptr, adj, [str(v) for v in range(n)]), c)
+    g = Graph(indptr, adj, [str(v) for v in range(n)])
+    piece, owner, degree = first_split(g, c, degrees=True)
+    assert first_split(g, c)[2] is None
     # pieces are numbered 0..p-1 in order of their smallest node
     labels, first = np.unique(piece, return_index=True)
     assert labels.tolist() == list(range(len(owner)))

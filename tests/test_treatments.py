@@ -107,27 +107,6 @@ class TestWCC:
         assert out == c
         assert trace.cuts_performed == 0
 
-    def test_clique_ring_runs_no_solver(self, threshold, monkeypatch):
-        # a clique's minimum degree beats the bound and is at least half its
-        # size, which fixes its min cut (Chartrand), so none is solved
-        g, c = w.generate(w.GadgetSpec(
-            kind="clique-ring", num_cliques=6, clique_size=12, bridges=3
-        ))
-        assert reference_wcc(g, c, threshold) == c
-
-        def solver(*args):
-            raise AssertionError("a piece ran the min-cut solver")
-
-        monkeypatch.setattr(treatments._kernels, "min_cut_csr", solver)
-        for processes in (1, 2):
-            out, trace = w.wcc_treatment(g, c, threshold, processes=processes)
-            assert out == c
-            assert trace == w.TreatmentTrace(clusters_in=6, clusters_out=6)
-            cm = w.cm_treatment(
-                g, c, threshold, w.parse_clusterer("components"), processes=processes
-            )
-            assert cm == (out, trace)
-
     def test_all_singletons_unchanged(self, threshold):
         g = graph_of(5, [(0, 1), (2, 3)])
         c = w.Clustering.from_assignment(range(5))
