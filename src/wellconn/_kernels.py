@@ -36,6 +36,32 @@ def component_labels(n, a, b):
     return (np.cumsum(lab == np.arange(n)) - 1)[lab]
 
 
+def first_appearance_ids(keys):
+    """Each key's id, 0..k-1 by its value's first position, and the values by id.
+
+    One sort groups equal keys. The sorted copy is freed before `ids` is
+    made, and the group ids are made in place.
+    """
+    order = np.argsort(keys)
+    ordered = keys[order]
+    heads = np.empty(len(keys), bool)
+    heads[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=heads[1:])
+    by_first = np.argsort(np.minimum.reduceat(order, np.flatnonzero(heads)))
+    distinct = ordered[heads][by_first]
+    del ordered
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    group = np.cumsum(heads)
+    del heads
+    group -= 1
+    # out= the index array itself: "clip" skips the copy that "raise" makes
+    np.take(rank, group, out=group, mode="clip")
+    ids = np.empty(len(order), np.int64)
+    ids[order] = group
+    return ids, distinct
+
+
 def upper_edges(indptr, adj):
     """Each undirected edge of a CSR graph once: int64 (u, v), u < v, in CSR order."""
     n = len(indptr) - 1

@@ -29,11 +29,11 @@ from typing import NoReturn
 # set is kept, and the process's environment is the caller's again once
 # numpy is loaded, so that the commands a run starts inherit it unchanged.
 if "OPENBLAS_NUM_THREADS" in os.environ:
-    import numpy as np
+    import numpy  # noqa: F401
 else:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
-        import numpy as np
+        import numpy  # noqa: F401
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
@@ -97,18 +97,11 @@ def _sha256(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def _numpy_to_json(value):
-    """JSON encoder hook: numpy arrays and scalars as Python lists and numbers."""
-    if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def _write_document(target: str | None, manifest: dict, payload: dict) -> None:
     doc = {"manifest": manifest, "payload": payload}
     # written as it is encoded: the whole text of a large audit would set the
     # command's peak memory
-    encoder = json.JSONEncoder(indent=2, sort_keys=True, default=_numpy_to_json)
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
     text = chain(encoder.iterencode(doc), ["\n"])
     if target in (None, "-"):
         # flushed here, so that a stream that cannot take the document fails

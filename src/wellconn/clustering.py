@@ -14,11 +14,12 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from . import _kernels
 from .errors import ClusteringParseError, ContractViolation, UniverseMismatch
 from .graph import (
     Graph,
+    _line_pairs,
     _read_input,
-    _text_lines,
     _two_columns,
     split_by_label,
     write_lines,
@@ -64,13 +65,8 @@ class Clustering:
         arr = np.asarray(assignment, dtype=np.int64)
         if arr.ndim != 1:
             raise ContractViolation("assignment must be one-dimensional")
-        if arr.size == 0:
-            return cls(arr)
-        # order cluster ids by first occurrence == minimum member index
-        _, first_pos, inverse = np.unique(arr, return_index=True, return_inverse=True)
-        rank = np.empty_like(first_pos)
-        rank[np.argsort(first_pos)] = np.arange(len(first_pos))
-        return cls(rank[inverse])
+        # first occurrence == minimum member index
+        return cls(_kernels.first_appearance_ids(arr)[0])
 
     @classmethod
     def from_clusters(
@@ -249,17 +245,8 @@ def read_membership(source: str | Path | IO) -> dict[str, str]:
 def _membership_from_lines(data: bytes | str, newline: str) -> dict[str, str]:
     """The per-line loop of `read_membership`, for any input."""
     membership: dict[str, str] = {}
-    lines = _text_lines(data, newline, ClusteringParseError)
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise ClusteringParseError(
-                line_no, f"expected two tab-separated tokens, got {line!r}"
-            )
-        label, token = parts
+    pairs = _line_pairs(data, newline, ClusteringParseError, "\t", "tab")
+    for line_no, label, token in pairs:
         known = membership.setdefault(label, token)
         if known != token:
             raise ClusteringParseError(
@@ -290,16 +277,14 @@ def clustering_from_membership(
 
     Nodes that share a token share a cluster; nodes the map does not name
     become singletons; labels the map names outside `labels` are skipped.
+    Ids are handed out in node order, so they are canonical as made.
     """
-    # None stands for an unnamed node; tokens are strings, so it never clashes
-    tokens: dict[str | None, int] = {None: -1}
-    assignment = np.array(
-        [tokens.setdefault(t, len(tokens)) for t in map(membership.get, labels)],
-        np.int64,
+    # an unnamed node's key is its index; tokens are strings, so none clashes
+    keys = map(membership.get, labels, range(len(labels)))
+    tokens: dict[str | int, int] = {}
+    return Clustering(
+        np.array([tokens.setdefault(key, len(tokens)) for key in keys], np.int64)
     )
-    free = np.flatnonzero(assignment < 0)
-    assignment[free] = len(tokens) + np.arange(len(free))
-    return Clustering.from_assignment(assignment)
 
 
 def load_clustering(source: str | Path | IO, g: Graph) -> ClusteringLoadResult:

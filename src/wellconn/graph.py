@@ -156,25 +156,37 @@ def _read_input(source: str | Path | IO) -> tuple[bytes | str, str]:
     return source.read(), "\n"
 
 
-def _text_lines(data: bytes | str, newline: str, error: type) -> Iterator[str]:
-    """The lines of `data` as the per-line readers see them.
+def _line_pairs(
+    data: bytes | str, newline: str, error: type, delimiter: str, name: str
+) -> Iterator[tuple[int, str, str]]:
+    """(line number, left token, right token) of each nonblank line of `data`.
 
     Bytes are decoded as UTF-8. At the first invalid byte, the lines before
-    its own are yielded, and then `error` is raised with its line number.
+    its own are yielded, and then `error` is raised with its line number. A
+    line that is not two nonempty tokens split by one `delimiter` raises
+    `error`, which calls the delimiter `name`.
     """
-    if isinstance(data, str):
-        yield from io.StringIO(data, newline=newline)
-        return
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
-        yield from io.StringIO(head, newline=newline)
-        raise error(
-            data.count(b"\n", 0, exc.start) + 1,
-            f"not valid UTF-8 (byte 0x{data[exc.start]:02x})",
-        ) from None
-    yield from io.StringIO(text, newline=newline)
+    invalid = None
+    if not isinstance(data, str):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            invalid = (
+                data.count(b"\n", 0, exc.start) + 1,
+                f"not valid UTF-8 (byte 0x{data[exc.start]:02x})",
+            )
+            data = data[: data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
+    for line_no, raw in enumerate(io.StringIO(data, newline=newline), start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        parts = line.split(delimiter)
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            message = f"expected two {name}-separated tokens, got {line!r}"
+            raise error(line_no, message)
+        yield line_no, parts[0], parts[1]
+    if invalid:
+        raise error(*invalid)
 
 
 def _two_columns(data: bytes | str) -> tuple[np.ndarray, np.ndarray] | None:
@@ -274,21 +286,10 @@ def load_edgelist(
         # a label seen only in self-loops makes no node and takes no rank
         keys = pairs[~loops].ravel()
     del pairs, loops
-    # rank tokens by first appearance: group equal keys by one sort, then
-    # order the groups by the smallest position among their members
-    order = np.argsort(keys)
-    keys = keys[order]
-    heads = np.empty(len(keys), bool)
-    heads[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=heads[1:])
-    by_first = np.argsort(np.minimum.reduceat(order, np.flatnonzero(heads)))
-    labels = keys[heads][by_first].astype(">u8").view("S8").astype(str).tolist()
+    ids, distinct = _kernels.first_appearance_ids(keys)
     del keys
-    rank = np.empty(len(by_first), np.int64)
-    rank[by_first] = np.arange(len(by_first))
-    ids = np.empty(len(order), np.int64)
-    ids[order] = rank[np.cumsum(heads) - 1]
-    del order, heads, rank
+    labels = distinct.astype(">u8").view("S8").astype(str).tolist()
+    del distinct
     return _ingest(labels, ids[0::2], ids[1::2], lines_read, self_loops)
 
 
@@ -301,25 +302,14 @@ def _edgelist_from_lines(
     vs: list[int] = []
     lines_read = 0
     self_loops = 0
-    lines = _text_lines(data, newline, EdgelistParseError)
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            continue
+    pairs = _line_pairs(data, newline, EdgelistParseError, delimiter, repr(delimiter))
+    for _, a, b in pairs:
         lines_read += 1
-        parts = line.split(delimiter)
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise EdgelistParseError(
-                line_no, f"expected two {delimiter!r}-separated tokens, got {line!r}"
-            )
-        a, b = parts
         if a == b:
             self_loops += 1
             continue
-        ia = index.setdefault(a, len(index))
-        ib = index.setdefault(b, len(index))
-        us.append(ia)
-        vs.append(ib)
+        us.append(index.setdefault(a, len(index)))
+        vs.append(index.setdefault(b, len(index)))
     u = np.asarray(us, dtype=np.int64)
     v = np.asarray(vs, dtype=np.int64)
     del us, vs

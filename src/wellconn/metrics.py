@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -106,11 +105,11 @@ def ari(truth: Clustering, est: Clustering) -> float:
     x = sum(math.comb(s, 2) for s in table.row_sums)
     y = sum(math.comb(s, 2) for s in table.col_sums)
     index = sum(math.comb(int(c), 2) for c in table.counts.tolist())
-    expected = Fraction(x * y, pairs_total)
-    maximum = Fraction(x + y, 2)
-    if maximum == expected:
+    # (index - x*y/pairs) / ((x+y)/2 - x*y/pairs); int / int is correctly rounded
+    den = pairs_total * (x + y) - 2 * x * y
+    if den == 0:
         return 1.0 if truth == est else 0.0
-    return float((Fraction(index) - expected) / (maximum - expected))
+    return 2 * (pairs_total * index - x * y) / den
 
 
 def agri(g: Graph, truth: Clustering, est: Clustering) -> float:
@@ -139,7 +138,7 @@ def agri(g: Graph, truth: Clustering, est: Clustering) -> float:
     den = (a + b) * (b + d) + (a + c) * (c + d)
     if den == 0:
         return 1.0 if b == 0 and c == 0 else 0.0
-    return float(Fraction(num, den))
+    return num / den
 
 
 def count_tables(row_sums: tuple[int, ...], col_sums: tuple[int, ...]) -> int:

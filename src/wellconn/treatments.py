@@ -16,7 +16,10 @@ cluster whose pieces all pass as they are is done there; the others, each
 with a piece to cut, peel or re-cluster, run through `_engine.map_clusters`,
 serially or on forked worker processes. Each such cluster's pieces come back
 as one concatenated member array and the piece sizes; outputs are merged
-canonically and do not depend on the worker count.
+canonically and do not depend on the worker count. Only the remainder of a
+low-degree peel and the parts of a non-trivial re-clusterer are labelled into
+components again: each side of a global minimum cut of a connected graph is
+connected.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from ._engine import first_split, map_clusters
 from .clustering import (
     Clustering,
     ThresholdSpec,
+    admit,
     clustering_from_membership,
     read_membership,
 )
@@ -139,12 +143,11 @@ class ExternalClusterer:
                 membership = read_membership(out_path)
             except ClusteringParseError as exc:
                 raise ExternalClustererError(f"external output: {exc}") from None
-            known = set(graph.labels)
-            for label in membership:
-                if label not in known:
-                    raise ExternalClustererError(
-                        f"external output names unknown node {label!r}: not a partition"
-                    )
+            foreign = admit(graph, membership).labels[graph.n :]
+            if foreign:
+                raise ExternalClustererError(
+                    f"external output names unknown node {foreign[0]!r}: not a partition"
+                )
             return clustering_from_membership(membership, graph.labels)
 
 
@@ -218,8 +221,9 @@ def _process_cluster(
     depth = int(len(parts) > 1)  # a first split, which the caller counts
     if depth:
         parts = _recluster(parts, clusterer, indptr, adj, labels)
-    # (nodes, depth, connected): components are not labelled again, while
-    # the parts of a cut or of a re-clustering are labelled once popped
+    # (nodes, depth, connected): components are connected, and so is each
+    # side of a min cut (were it split into A1 and A2, the cut around A1 would
+    # be smaller); the peel's remainder and re-clustered parts may not be
     stack = [(part, depth, fast or not depth) for part in parts]
     while stack:
         nd, depth, connected = stack.pop()
@@ -265,7 +269,7 @@ def _process_cluster(
         cuts += 1
         parts = [nd[side], nd[~side]]
         for part in _recluster(parts, clusterer, indptr, adj, labels):
-            stack.append((part, depth + 1, False))
+            stack.append((part, depth + 1, fast))
     sizes = np.fromiter(map(len, emitted), np.int64, len(emitted))
     members = emitted[0] if len(emitted) == 1 else np.concatenate(emitted)
     return members, sizes, cuts, comp_splits, maxdepth

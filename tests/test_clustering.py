@@ -385,6 +385,15 @@ class TestJoinReference:
         )
 
     @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(join_memberships, st.lists(join_labels, unique=True))
+    def test_membership_ids_are_canonical_as_made(self, membership, labels):
+        # named, unnamed and skipped labels alike: no second numbering changes it
+        made = clustering.clustering_from_membership(membership, labels)
+        again = w.Clustering.from_assignment(made.assignment)
+        assert made.assignment.dtype == np.int64
+        assert made.assignment.tolist() == again.assignment.tolist()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
     @given(
         st.none() | join_edgelists, join_memberships, join_memberships, st.booleans()
     )

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from wellconn import _kernels
 from wellconn._engine import first_split
 from wellconn.clustering import Clustering
-from wellconn.graph import Graph
+from wellconn.gadgets import GadgetSpec, generate
+from wellconn.graph import Graph, split_by_label
 
 
 def bfs_labels(indptr, adj):
@@ -37,6 +38,32 @@ def bfs_labels(indptr, adj):
                     queue.append(u)
         comp += 1
     return np.array(labels, np.int64)
+
+
+def reference_first_appearance_ids(keys):
+    """The ranking `Clustering.from_assignment` ran on `np.unique`."""
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty(len(first), np.int64)
+    rank[by_first] = np.arange(len(first))
+    return rank[inverse], distinct[by_first]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(np.int64, -(2**63), 2**63 - 1), (np.int64, -3, 3),
+                     (np.uint64, 0, 2**64 - 1), (np.uint64, 2**64 - 4, 2**64 - 1)])
+    .flatmap(lambda kind: st.lists(st.integers(kind[1], kind[2]), max_size=60)
+             .map(lambda values: np.array(values, kind[0])))
+)
+@example(np.array([], np.int64))
+@example(np.array([], np.uint64))
+def test_first_appearance_ids_match_unique(keys):
+    ids, distinct = _kernels.first_appearance_ids(keys)
+    expected_ids, expected_distinct = reference_first_appearance_ids(keys)
+    assert ids.dtype == np.int64 and distinct.dtype == keys.dtype
+    assert ids.tolist() == expected_ids.tolist()
+    assert distinct.tolist() == expected_distinct.tolist()
 
 
 def union_smaller(nv, pairs):
@@ -324,6 +351,41 @@ def test_min_cut_ignores_row_order(case):
     got_value, got_side = _kernels.min_cut_csr(indptr, shuffled)
     assert value > 0
     assert (got_value, got_side.tolist()) == (value, side.tolist())
+
+
+def assert_min_cut_sides_connected(indptr, adj):
+    """Each side of a global minimum cut of a connected graph is connected."""
+    value, side = _kernels.min_cut_csr(indptr, adj)
+    assert value > 0
+    for part in (side, ~side):
+        si, sa = _kernels.induced_csr(indptr, adj, np.flatnonzero(part))
+        assert bfs_labels(si, sa).max() == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(connected_graphs())
+def test_min_cut_sides_are_connected(case):
+    n, pairs, _ = case
+    assert_min_cut_sides_connected(*csr_of(n, pairs))
+
+
+@pytest.mark.parametrize("spec", [
+    GadgetSpec(kind="bridged-cliques", num_cliques=k, clique_size=s, bridges=b)
+    for k, s, b in ((2, 5, 1), (4, 6, 1), (5, 5, 2), (6, 8, 3))
+] + [
+    GadgetSpec(kind="planted-partition-lite", sizes=(30, 30, 30, 30), p_in=p_in,
+               p_out=0.01, seed=seed)
+    for p_in in (0.15, 0.4) for seed in (1, 2, 3)
+] + [GadgetSpec(kind="random-gnp", n=60, p=0.08, seed=seed) for seed in (1, 2, 3)])
+def test_min_cut_sides_are_connected_on_gadgets(spec):
+    # every connected piece of two nodes or more: the gadget's components and
+    # its planted clusters' components
+    g, truth = generate(spec)
+    piece, _, _ = first_split(g, truth)
+    labels = _kernels.connected_labels(g.indptr, g.adj)
+    for nodes in [*split_by_label(labels), *split_by_label(piece)]:
+        if len(nodes) > 1:
+            assert_min_cut_sides_connected(*_kernels.induced_csr(g.indptr, g.adj, nodes))
 
 
 def ma_ordering_with_key(ip, nb, wt, nv):

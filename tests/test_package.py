@@ -35,10 +35,11 @@ PUBLIC_NAMES = [
 ]
 
 # modules that treat, audit and eval never run; numpy.ma is loaded by a bare
-# np.unique(x), which takes a hash path in numpy 2.4
+# np.unique(x), which takes a hash path in numpy 2.4, and fractions (which
+# loads decimal) by exact scores that need only int / int
 UNUSED_BY_TREAT_AUDIT_EVAL = (
     "wellconn.dl", "wellconn.gadgets", "wellconn.mincut", "subprocess", "shlex",
-    "numpy.ma",
+    "numpy.ma", "fractions", "decimal",
 )
 
 

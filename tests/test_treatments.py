@@ -304,6 +304,30 @@ class TestCM:
                 cut = w.global_min_cut(sub)
                 assert w.is_well_connected(cut.value, len(members), threshold)
 
+    @pytest.mark.parametrize("produced, message", [
+        (ValueError("no parts today"),
+         "re-clustering failed on a part of 3 nodes: no parts today"),
+        (w.Clustering.from_assignment([0, 0]),
+         "re-clustering returned a non-partition (2 nodes for a 3-node part)"),
+    ])
+    def test_reclusterer_failure_names_the_input_cluster(self, threshold, produced, message):
+        # cluster 0 is a triangle that passes; cluster 1 is two triangles,
+        # whose parts go to the re-clusterer
+        class Failing:
+            trivial_on_connected = False
+
+            def cluster(self, graph):
+                if isinstance(produced, Exception):
+                    raise produced
+                return produced
+
+        g = graph_of(9, clique_edges(3) + clique_edges(3, 3) + clique_edges(3, 6))
+        c = w.Clustering.from_assignment([0, 0, 0, 1, 1, 1, 1, 1, 1])
+        with pytest.raises(w.TreatmentError) as info:
+            w.cm_treatment(g, c, threshold, Failing())
+        assert type(info.value) is w.TreatmentError
+        assert str(info.value) == f"cluster 1: {message}"
+
     def test_requires_clusterer(self, threshold):
         g = graph_of(3, [(0, 1), (1, 2)])
         with pytest.raises(w.ContractViolation):
@@ -361,9 +385,15 @@ class TestExternalClusterer:
 
     def test_external_foreign_labels_rejected(self, tmp_path, threshold):
         g = two_cliques(10, bridges=1)
-        # a foreign label, an empty token, a node assigned twice, a short line;
-        # {v} is a node of the part
-        for written in ("not-a-node\tx\n", "{v}\t\n", "{v}\tx\n{v}\ty\n", "{v}\n"):
+        # foreign labels after a node of the part, the first of them not the
+        # least, an empty token, a node assigned twice, a short line; {v} is
+        # a node of the part
+        for written, message in (
+            ("{v}\tx\nzz\tx\naa\tx\n", "unknown node 'zz': not a partition"),
+            ("{v}\t\n", "expected two tab-separated tokens"),
+            ("{v}\tx\n{v}\ty\n", "conflicting clusters 'x' and 'y'"),
+            ("{v}\n", "expected two tab-separated tokens"),
+        ):
             script = self._script(
                 tmp_path,
                 "import sys\n"
@@ -372,8 +402,15 @@ class TestExternalClusterer:
                 f"    out.write({written!r}.format(v=v))\n",
             )
             clusterer = w.ExternalClusterer(script)
-            with pytest.raises(w.ExternalClustererError):
+            with pytest.raises(w.ExternalClustererError, match=message):
                 w.cm_treatment(g, one_cluster(g), threshold, clusterer)
+
+    def test_no_output_file_exits_2(self, tmp_path, capsys):
+        script = self._script(tmp_path, "import sys\n")
+        assert self._treat_two_triangles(tmp_path, f"external:{script}", "out.tsv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wellconn: external clusterer failed: cluster 0: command ")
+        assert err.rstrip().endswith("wrote no output file")
 
     @pytest.mark.parametrize("processes", [1, 2])
     def test_failure_names_the_input_cluster(self, tmp_path, capsys, processes):
