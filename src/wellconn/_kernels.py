@@ -16,6 +16,10 @@ import numpy as np
 NUMBA_ENABLED = False
 
 
+# edges per block when component_labels relabels: 64 KB per int64 scratch array
+_LABEL_BLOCK = 8192
+
+
 def component_labels(n, a, b):
     """Component label per node over the edges (a, b), ordered by smallest node.
 
@@ -24,15 +28,32 @@ def component_labels(n, a, b):
     a star and drops the edges inside one tree. Roots only point to smaller
     ids, so any hooking order ends with each node at its component's smallest
     id. Every unfinished tree merges within two rounds: 2*ceil(log2 n) + 1 at most.
+
+    The caller's arrays are only read. The edges a round keeps are relabelled
+    block by block into two arrays of the kernel's own, made in the first
+    round and compacted in place after it, so the kernel holds about 16
+    bytes per edge beside the caller's.
     """
     lab = np.arange(n)
+    own = None
     while len(a):
-        np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
+        # lab[x] <= x always, so each edge can only lower the larger end's root
+        np.minimum.at(lab, a, b)
+        np.minimum.at(lab, b, a)
         while not np.array_equal(jump := lab[lab], lab):
             lab = jump
-        a, b = lab[a], lab[b]
-        kept = a != b
-        a, b = a[kept], b[kept]
+        if own is None:
+            own = np.empty(len(a), np.int64), np.empty(len(b), np.int64)
+        kept = 0
+        # a block is read before its kept edges are written at or below its start
+        for lo in range(0, len(a), _LABEL_BLOCK):
+            la, lb = lab[a[lo : lo + _LABEL_BLOCK]], lab[b[lo : lo + _LABEL_BLOCK]]
+            across = la != lb
+            k = int(np.count_nonzero(across))
+            own[0][kept : kept + k] = la[across]
+            own[1][kept : kept + k] = lb[across]
+            kept += k
+        a, b = own[0][:kept], own[1][:kept]
     return (np.cumsum(lab == np.arange(n)) - 1)[lab]
 
 
@@ -65,9 +86,10 @@ def first_appearance_ids(keys):
 def upper_edges(indptr, adj):
     """Each undirected edge of a CSR graph once: int64 (u, v), u < v, in CSR order."""
     n = len(indptr) - 1
-    u = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    # rows in adj's dtype: a graph's int32 rows take half the memory of int64
+    u = np.repeat(np.arange(n, dtype=adj.dtype), np.diff(indptr))
     upper = u < adj
-    return u[upper], adj[upper].astype(np.int64)
+    return u[upper].astype(np.int64), adj[upper].astype(np.int64)
 
 
 def connected_labels(indptr, adj):

@@ -44,6 +44,7 @@ from .clustering import (
     admit,
     cluster_stats,
     clustering_from_membership,
+    join_memberships,
     load_clustering,
     read_membership,
     write_clustering,
@@ -244,47 +245,57 @@ def _universe_for_eval(args):
 
     It holds the graph's nodes (none without --edgelist), then the labels the
     files add. --restrict-common keeps the nodes of the graph, or without one
-    the labels of both files, that both files name.
+    the labels of both files, that both files name. Without it, the files are
+    joined to the graph by `join_memberships`, as packed keys where they pack.
     """
-    # the edgelist is parsed before either membership map exists, so that its
-    # parse, the command's peak, holds neither of them
+    # the edgelist is parsed before either membership file is read, so that
+    # its parse, the command's peak, holds neither of them
     if args.edgelist:
         graph, _ = load_edgelist(args.edgelist)
     else:
         graph = Graph.from_edges(0, [])
-    truth_map = read_membership(args.ground_truth)
-    est_map = read_membership(args.estimated)
-    restrict = args.restrict_common
-    if not args.edgelist:
-        restrict = truth_map.keys() != est_map.keys()
-        if restrict and not args.restrict_common:
+    if not args.restrict_common:
+        graph, (truth, est), sizes = join_memberships(
+            graph, args.ground_truth, args.estimated
+        )
+        # without a graph the universe is the union of the two label sets,
+        # which are equal when each file names all of it
+        if not args.edgelist and sizes != [graph.n, graph.n]:
             raise ContractViolation(
                 "clustering files cover different node sets "
-                f"({len(truth_map)} vs {len(est_map)} labels); "
+                f"({sizes[0]} vs {sizes[1]} labels); "
                 "pass --restrict-common to use the intersection"
             )
-    sizes = len(truth_map), len(est_map)
-    if restrict:
-        # deterministic universe order: the graph's, or truth-file first appearance
-        common = truth_map.keys() & est_map.keys()
-        if args.edgelist:
-            nodes = [v for v, lab in enumerate(graph.labels) if lab in common]
-            graph, _ = induced_subgraph(graph, nodes)
-            keep = graph.labels
-        else:
-            keep = [lab for lab in truth_map if lab in common]
-        truth_map = {lab: truth_map[lab] for lab in keep}
-        est_map = {lab: est_map[lab] for lab in keep}
-    graph = admit(graph, truth_map, est_map)
+        restrict, dropped = False, (0, 0)
+    else:
+        truth_map = read_membership(args.ground_truth)
+        est_map = read_membership(args.estimated)
+        sizes = [len(truth_map), len(est_map)]
+        # without a graph, files that name the same labels are not restricted
+        restrict = bool(args.edgelist) or truth_map.keys() != est_map.keys()
+        if restrict:
+            # deterministic universe order: the graph's, or the truth file's
+            common = truth_map.keys() & est_map.keys()
+            if args.edgelist:
+                nodes = [v for v, lab in enumerate(graph.labels) if lab in common]
+                graph, _ = induced_subgraph(graph, nodes)
+                keep = graph.labels
+            else:
+                keep = [lab for lab in truth_map if lab in common]
+            truth_map = {lab: truth_map[lab] for lab in keep}
+            est_map = {lab: est_map[lab] for lab in keep}
+        graph = admit(graph, truth_map, est_map)
+        truth = clustering_from_membership(truth_map, graph.labels)
+        est = clustering_from_membership(est_map, graph.labels)
+        dropped = sizes[0] - len(truth_map), sizes[1] - len(est_map)
     if graph.n == 0:
         raise ContractViolation("evaluation universe is empty")
     restricted = {
         "restricted": restrict,
-        "dropped_truth": sizes[0] - len(truth_map),
-        "dropped_estimated": sizes[1] - len(est_map),
+        "dropped_truth": dropped[0],
+        "dropped_estimated": dropped[1],
     }
-    truth = clustering_from_membership(truth_map, graph.labels)
-    return truth, clustering_from_membership(est_map, graph.labels), graph, restricted
+    return truth, est, graph, restricted
 
 
 # eval's scores by name; each looks its metric up in this module when called

@@ -18,8 +18,11 @@ from . import _kernels
 from .errors import ClusteringParseError, ContractViolation, UniverseMismatch
 from .graph import (
     Graph,
+    _key_labels,
+    _label_keys,
     _line_pairs,
     _read_input,
+    _token_keys,
     _two_columns,
     split_by_label,
     write_lines,
@@ -228,7 +231,11 @@ def read_membership(source: str | Path | IO) -> dict[str, str]:
     Labels keep their order of first appearance. Repeated identical
     assignments collapse; conflicting ones raise.
     """
-    data, newline = _read_input(source)
+    return _parse_membership(*_read_input(source))
+
+
+def _parse_membership(data: bytes | str, newline: str) -> dict[str, str]:
+    """`read_membership` of input already read by `_read_input`."""
     if _two_columns(data) is not None:
         flat = (data if isinstance(data, str) else data.decode("ascii")).split()
         labels, tokens = flat[0::2], flat[1::2]
@@ -287,16 +294,117 @@ def clustering_from_membership(
     )
 
 
+def join_memberships(
+    g: Graph, *sources: str | Path | IO
+) -> tuple[Graph, list[Clustering], list[int]]:
+    """The graph with the files' extra labels, and each file's clustering and size.
+
+    Labels the files name outside `g` become degree-0 nodes after its own, in
+    order of first appearance, one file after another (`g` itself when
+    nothing is added). Each clustering covers the extended graph: nodes that
+    share a token share a cluster, and nodes the file does not name are
+    singletons. A file's size is the number of labels it names.
+
+    The files are joined to the graph as packed keys (see `_packed_lines`)
+    when every label of `g` packs and every file does. Any other input takes
+    the dict path (`read_membership`, `admit`, `clustering_from_membership`),
+    which alone raises the parse errors, each file's before the next is read.
+    Both paths give the same result.
+    """
+    graph_keys = _label_keys(g.labels)
+    if graph_keys is not None:
+        # the graph's keys ascending, searched for in ascending order below
+        graph_order = np.argsort(graph_keys)
+        graph_keys = graph_keys[graph_order]
+    packed: list[tuple] = []  # each file's `_packed_lines` and input, while all pack
+    memberships: list[dict[str, str]] | None = None
+    for source in sources:
+        data, newline = _read_input(source)
+        if memberships is None:
+            lines = None
+            if graph_keys is not None:
+                lines = _packed_lines(data, graph_keys, graph_order)
+            if lines is not None:
+                packed.append((lines, data, newline))
+                continue
+            # the files before this one pack, so the dict path finds no error in them
+            memberships = [_parse_membership(d, nl) for _, d, nl in packed]
+        memberships.append(_parse_membership(data, newline))
+    if memberships is None:
+        return _packed_join(g, [lines for lines, _, _ in packed])
+    graph = admit(g, *memberships)
+    clusterings = [clustering_from_membership(m, graph.labels) for m in memberships]
+    return graph, clusterings, [len(m) for m in memberships]
+
+
+def _packed_lines(
+    data: bytes | str, graph_keys: np.ndarray, graph_order: np.ndarray
+) -> tuple | None:
+    """One membership file joined to the graph's labels, if the file packs.
+
+    `graph_keys` are the keys of the graph's labels, ascending, and
+    `graph_order` their nodes. A file packs when `graph._token_keys` reads it
+    (the common shape, every label and token 1-8 bytes) and it names no label
+    twice. Returns each graph node's key: its token's key if the file names
+    it, else its own index, which no token's key can equal (a token's first
+    byte is at least 0x21). Then the keys of the labels the graph lacks and
+    of their tokens, in file order, and the number of lines. None if the
+    file does not pack.
+    """
+    keys = _token_keys(data)
+    if keys is None:
+        return None
+    labels, tokens = keys[0::2], keys[1::2]
+    order = np.argsort(labels)
+    ordered = labels[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        return None
+    # both sides ascending, so the search walks the file's labels once
+    pos = np.searchsorted(ordered, graph_keys)
+    np.minimum(pos, len(ordered) - 1, out=pos)
+    named = ordered[pos] == graph_keys
+    line = order[pos[named]]  # the line of each node the file names
+    node_keys = np.arange(len(graph_keys), dtype=np.uint64)
+    node_keys[graph_order[named]] = tokens[line]
+    unknown = np.ones(len(labels), bool)
+    unknown[line] = False
+    return node_keys, labels[unknown], tokens[unknown], len(labels)
+
+
+def _packed_join(
+    g: Graph, packed: list[tuple]
+) -> tuple[Graph, list[Clustering], list[int]]:
+    """`join_memberships` of files that pack, from their `_packed_lines`."""
+    extra_ids, extra = _kernels.first_appearance_ids(
+        np.concatenate([unknown for _, unknown, _, _ in packed])
+    )
+    graph = g.with_isolated(_key_labels(extra))
+    added = np.arange(g.n, graph.n, dtype=np.uint64)
+    clusterings = []
+    for node_keys, unknown, tokens, _ in packed:
+        keys = np.concatenate([node_keys, added])
+        keys[g.n + extra_ids[: len(unknown)]] = tokens
+        extra_ids = extra_ids[len(unknown) :]
+        # a key's first node is its cluster's smallest: the ids are canonical
+        clusterings.append(Clustering(_kernels.first_appearance_ids(keys)[0]))
+    return graph, clusterings, [count for *_, count in packed]
+
+
 def load_clustering(source: str | Path | IO, g: Graph) -> ClusteringLoadResult:
-    """Read `node-label <tab> cluster-token` lines into a canonical Clustering."""
-    membership = read_membership(source)
-    graph = admit(g, membership)
+    """Read `node-label <tab> cluster-token` lines into a canonical Clustering.
+
+    The file is joined to the graph by `join_memberships`: as packed keys
+    when its labels and tokens and the graph's labels are 1-8 bytes of
+    printable ASCII, it has the common shape and repeats no label, and
+    otherwise through `read_membership`, which alone raises the parse errors.
+    """
+    graph, (clustering,), (named,) = join_memberships(g, source)
     unknown = graph.n - g.n
     return ClusteringLoadResult(
-        clustering=clustering_from_membership(membership, graph.labels),
+        clustering=clustering,
         graph=graph,
         unknown_labels=unknown,
-        missing_nodes=g.n - (len(membership) - unknown),
+        missing_nodes=g.n - (named - unknown),
     )
 
 
@@ -308,5 +416,9 @@ def write_clustering(c: Clustering, g: Graph, target: str | Path | IO) -> None:
         )
     labels = g.labels
     ids = c.assignment.tolist()
-    order = sorted(range(g.n), key=labels.__getitem__)
+    keys = _label_keys(labels)
+    if keys is None:
+        order = sorted(range(g.n), key=labels.__getitem__)
+    else:  # packed keys sort as the label bytes do
+        order = np.argsort(keys).tolist()
     write_lines(target, (f"{labels[v]}\t{ids[v]}\n" for v in order))

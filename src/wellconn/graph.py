@@ -258,6 +258,32 @@ def _token_keys(data: bytes | str) -> np.ndarray | None:
     return keys
 
 
+def _label_keys(labels: list[str]) -> np.ndarray | None:
+    """Each label as the uint64 key `_token_keys` gives it, if every label packs.
+
+    A label packs when it is 1-8 bytes of printable ASCII (0x21-0x7E); else
+    None. The keys compare as the labels' bytes do. The guard comes before
+    the packing, as "S8" cuts a longer label to its first 8 bytes and drops
+    trailing NULs: "abcdefghi" would take the key of "abcdefgh", and "a\\0"
+    the key of "a".
+    """
+    sizes = np.fromiter(map(len, labels), np.int64, len(labels))
+    if sizes.size and (sizes.min() < 1 or sizes.max() > 8):
+        return None
+    text = "".join(labels)
+    if not text.isascii():
+        return None
+    buf = np.frombuffer(text.encode("ascii"), np.uint8)
+    if buf.size and (buf.min() < 0x21 or buf.max() > 0x7E):
+        return None
+    return np.array(labels, "S8").view(">u8").astype(np.uint64)
+
+
+def _key_labels(keys: np.ndarray) -> list[str]:
+    """The label of each key of `_token_keys` or `_label_keys`."""
+    return keys.astype(">u8").view("S8").astype(str).tolist()
+
+
 def load_edgelist(
     source: str | Path | IO, delimiter: str = "\t"
 ) -> tuple[Graph, IngestReport]:
@@ -288,7 +314,7 @@ def load_edgelist(
     del pairs, loops
     ids, distinct = _kernels.first_appearance_ids(keys)
     del keys
-    labels = distinct.astype(">u8").view("S8").astype(str).tolist()
+    labels = _key_labels(distinct)
     del distinct
     return _ingest(labels, ids[0::2], ids[1::2], lines_read, self_loops)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import wellconn as w
 from conftest import as_sources
-from wellconn import cli, clustering
+from wellconn import cli, clustering, graph
 
 
 def triangle():
@@ -354,32 +354,94 @@ def ref_universe(graph, truth_map, est_map, restrict_common):
     return truth, est, graph, restricted
 
 
-def membership_text(membership: dict[str, str]) -> str:
-    return "".join(f"{lab}\t{tok}\n" for lab, tok in membership.items())
+def pairs_text(pairs) -> str:
+    """An edgelist or membership file: one tab-separated pair per line."""
+    return "".join(f"{a}\t{b}\n" for a, b in pairs)
 
 
 # a few labels and tokens, so that memberships name graph nodes, miss some,
 # add unknown labels, and share tokens
 join_labels = st.sampled_from("abcdefgh")
 join_memberships = st.dictionaries(join_labels, st.sampled_from("xyz"), max_size=8)
-join_edgelists = st.lists(st.tuples(join_labels, join_labels), max_size=10).map(
-    lambda edges: "".join(f"{u}\t{v}\n" for u, v in edges)
+join_edgelists = st.lists(st.tuples(join_labels, join_labels), max_size=10)
+# renames that send a case down the dict path wherever the name occurs: a
+# label over 8 bytes, one that is not ASCII, one with a space, or a token
+# over 8 bytes; each file also may repeat its first line
+join_renames = st.sampled_from(
+    [{}, {"h": "abcdefghi"}, {"h": "café"}, {"h": "a b"}, {"z": "tokenlong"}]
 )
 
 
+def renamed(rename, pairs):
+    return [(rename.get(a, a), rename.get(b, b)) for a, b in pairs]
+
+
+def file_text(rename, membership, repeat):
+    """A membership file of the renamed map, its first line repeated if `repeat`."""
+    pairs = renamed(rename, membership.items())
+    return pairs_text(pairs[:1] * repeat + pairs)
+
+
+class CountingDictPath:
+    """`clustering._parse_membership`, counting its calls while patched in."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __enter__(self):
+        self.patch = pytest.MonkeyPatch()
+        parse = clustering._parse_membership
+
+        def counted(*args):
+            self.calls += 1
+            return parse(*args)
+
+        self.patch.setattr(clustering, "_parse_membership", counted)
+        return self
+
+    def __exit__(self, *exc):
+        self.patch.undo()
+
+
+def packs(graph_labels, *files) -> bool:
+    """Whether the join takes packed keys: every graph label and every file's
+    labels and tokens are 1-8 bytes of printable ASCII, and no file is empty
+    (not the common shape) or repeats a line. Files are (map, repeat) pairs."""
+    def packable(name):
+        raw = name.encode()
+        return 1 <= len(raw) <= 8 and all(0x21 <= byte <= 0x7E for byte in raw)
+
+    names = list(graph_labels)
+    for membership, repeat in files:
+        names += [*membership, *membership.values()]
+        if repeat or not membership:
+            return False
+    return all(map(packable, names))
+
+
 class TestJoinReference:
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(join_edgelists, join_memberships, join_memberships)
-    def test_load_clustering_and_admit(self, edgelist, membership, other):
-        g, _ = w.load_edgelist(io.StringIO(edgelist))
-        res = w.load_clustering(io.StringIO(membership_text(membership)), g)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(join_edgelists, join_memberships, join_memberships, join_renames,
+           st.booleans())
+    def test_load_clustering_and_admit(self, edges, membership, other, rename, repeat):
+        g, _ = w.load_edgelist(io.StringIO(pairs_text(renamed(rename, edges))))
+        text = file_text(rename, membership, repeat)
+        membership = dict(renamed(rename, membership.items()))
+        with CountingDictPath() as dict_path:
+            res = w.load_clustering(io.StringIO(text), g)
+        assert (dict_path.calls == 0) == packs(g.labels, (membership, repeat))
         graph, index = ref_admit(g, membership)
         unknown = graph.n - g.n
         assert res.clustering == ref_clustering_from_membership(membership, index)
+        assert res.clustering.assignment.dtype == np.int64
+        assert res.clustering.assignment.tolist() == (
+            w.Clustering.from_assignment(res.clustering.assignment).assignment.tolist()
+        )
         assert res.graph.labels == graph.labels
         assert res.unknown_labels == unknown
         assert res.missing_nodes == g.n - (len(membership) - unknown)
         assert (res.graph is g) == (graph is g)
+        other = dict(renamed(rename, other.items()))
         assert clustering.admit(g, membership, other).labels == (
             ref_admit(g, membership, other)[0].labels
         )
@@ -393,25 +455,124 @@ class TestJoinReference:
         assert made.assignment.dtype == np.int64
         assert made.assignment.tolist() == again.assignment.tolist()
 
-    @settings(derandomize=True, max_examples=200, deadline=None)
+    @settings(derandomize=True, max_examples=300, deadline=None)
     @given(
-        st.none() | join_edgelists, join_memberships, join_memberships, st.booleans()
+        st.none() | join_edgelists, join_memberships, join_memberships, st.booleans(),
+        join_renames, st.booleans(), st.booleans(),
     )
-    def test_eval_universe(self, edgelist, truth_map, est_map, restrict_common):
+    def test_eval_universe(
+        self, edges, truth_map, est_map, restrict_common, rename, repeat, repeat_est
+    ):
         args = Namespace(
-            edgelist=None if edgelist is None else io.StringIO(edgelist),
-            ground_truth=io.StringIO(membership_text(truth_map)),
-            estimated=io.StringIO(membership_text(est_map)),
+            edgelist=None,
+            ground_truth=io.StringIO(file_text(rename, truth_map, repeat)),
+            estimated=io.StringIO(file_text(rename, est_map, repeat_est)),
             restrict_common=restrict_common,
         )
-        graph = None if edgelist is None else w.load_edgelist(io.StringIO(edgelist))[0]
+        graph = None
+        if edges is not None:
+            text = pairs_text(renamed(rename, edges))
+            args.edgelist = io.StringIO(text)
+            graph = w.load_edgelist(io.StringIO(text))[0]
+        truth_map = dict(renamed(rename, truth_map.items()))
+        est_map = dict(renamed(rename, est_map.items()))
+        packed = not restrict_common and packs(
+            [] if graph is None else graph.labels,
+            (truth_map, repeat), (est_map, repeat_est),
+        )
         try:
             expected = ref_universe(graph, truth_map, est_map, restrict_common)
         except w.ContractViolation as exc:
             with pytest.raises(w.ContractViolation, match=str(exc)):
                 cli._universe_for_eval(args)
             return
-        truth, est, graph, restricted = cli._universe_for_eval(args)
+        with CountingDictPath() as dict_path:
+            truth, est, graph, restricted = cli._universe_for_eval(args)
+        if not restrict_common:
+            assert (dict_path.calls == 0) == packed
         ref_truth, ref_est, ref_graph, ref_restricted = expected
         assert (truth, est, restricted) == (ref_truth, ref_est, ref_restricted)
         assert graph.digest() == ref_graph.digest()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(
+        st.sampled_from(["a", "ab", "b", "~", "!", "Z", "abcdefgh", "abcdefghi",
+                         "a\x00", "café", "a b", "\x7f"]),
+        unique=True,
+    ), st.randoms(use_true_random=False))
+    def test_write_clustering_order(self, labels, rng):
+        # packed keys sort as the labels' bytes, and other labels as before
+        g = w.Graph.from_edges(len(labels), [], labels)
+        c = w.Clustering.from_assignment([rng.randrange(3) for _ in labels])
+        out = io.StringIO()
+        w.write_clustering(c, g, out)
+        ids = c.assignment.tolist()
+        order = sorted(range(g.n), key=labels.__getitem__)
+        assert out.getvalue() == "".join(f"{labels[v]}\t{ids[v]}\n" for v in order)
+
+
+class TestPackedKeys:
+    """The keys never stand for another label: 8 bytes is a hard limit, and a
+    NUL, a space or a byte outside ASCII sends a label to the dict path."""
+
+    GRAPH_LABELS = ["abcdefgh", "abcdefghi", "a", "a\x00", "café", "a b"]
+
+    def test_label_keys_pack_only_printable_ascii_up_to_8_bytes(self):
+        assert graph._label_keys(self.GRAPH_LABELS) is None
+        for odd in ["abcdefghi", "a\x00", "café", "a b", "", "\x7f"]:
+            assert graph._label_keys(["a", odd]) is None, odd
+        keys = graph._label_keys(["abcdefgh", "a", "~!"])
+        assert keys.tolist() == graph._token_keys(b"abcdefgh\ta\n~!\tx\n")[
+            [0, 1, 2]
+        ].tolist()
+        assert graph._label_keys([]).tolist() == []
+
+    # each file, with the clustering it gives on the graph of GRAPH_LABELS, or
+    # the line and message of its error, and whether it packs beside a graph
+    # whose labels do
+    @pytest.mark.parametrize("text, expected, packed", [
+        # a 9-byte label is its own node, not the 8-byte one it starts with
+        ("abcdefghi\tx\nabcdefgh\ty\n", [0, 1, 2, 3, 4, 5], False),
+        ("abcdefgh\tx\na\tx\n", [0, 1, 0, 2, 3, 4], True),
+        # tokens over 8 bytes that share their first 8 stay apart
+        ("a\ttokenlong1\nabcdefgh\ttokenlong2\n", [0, 1, 2, 3, 4, 5], False),
+        ("a\ttokenlong1\nabcdefgh\ttokenlong1\n", [0, 1, 0, 2, 3, 4], False),
+        # a repeat with the same token collapses, and a conflicting one raises
+        ("a\tx\na\tx\n", [0, 1, 2, 3, 4, 5], False),
+        ("a\tx\nabcdefgh\ty\na\tz\n",
+         (3, "node 'a' assigned to conflicting clusters 'x' and 'z'"), False),
+    ])
+    def test_truncation_trap(self, text, expected, packed):
+        g = w.Graph.from_edges(6, [], self.GRAPH_LABELS)
+        packable, _ = w.load_edgelist(io.StringIO("abcdefgh\ta\n"))
+        for target in (g, packable):
+            with CountingDictPath() as dict_path:
+                try:
+                    res = w.load_clustering(io.StringIO(text), target)
+                except w.ClusteringParseError as exc:
+                    line, message = expected
+                    assert exc.line_number == line
+                    assert str(exc) == f"clustering line {line}: {message}"
+                    continue
+            assert dict_path.calls == (0 if target is packable and packed else 1)
+            membership = clustering.read_membership(io.StringIO(text))
+            ref_graph, index = ref_admit(target, membership)
+            assert res.graph.labels == ref_graph.labels
+            assert res.clustering == ref_clustering_from_membership(membership, index)
+            if target is g:
+                assert res.clustering.assignment.tolist() == expected
+                assert res.graph is g
+
+    def test_eval_names_the_same_error(self):
+        text = "a\tx\nabcdefgh\ty\na\tz\n"
+        for edgelist in (None, io.StringIO("abcdefgh\ta\n")):
+            args = Namespace(
+                edgelist=edgelist, ground_truth=io.StringIO("a\tx\n"),
+                estimated=io.StringIO(text), restrict_common=False,
+            )
+            with pytest.raises(w.ClusteringParseError) as err:
+                cli._universe_for_eval(args)
+            assert err.value.line_number == 3
+            assert str(err.value) == (
+                "clustering line 3: node 'a' assigned to conflicting clusters 'x' and 'z'"
+            )

@@ -1,17 +1,19 @@
-"""Bulk ingest against the per-line loop, and ingest pinned on a 40k-node instance."""
+"""Bulk ingest and the packed join against the per-line loop and the dict path,
+and ingest, the join and the writer pinned on a 40k-node instance."""
 
 import dataclasses
 import hashlib
 import io
 import os
 import tempfile
+from argparse import Namespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import wellconn as w
-from wellconn import clustering, graph
+from wellconn import cli, clustering, graph
 
 # lines the bulk readers leave to the loop, or that the loop rejects
 ODD_LINES = [
@@ -73,6 +75,35 @@ def result(call):
     return g.labels, g.indptr.tolist(), g.adj.tolist(), str(g.adj.dtype), rep
 
 
+def dict_join(g, *inputs):
+    """The join of membership files by the dict path, from their `_read_input`."""
+    memberships = [clustering._parse_membership(*read) for read in inputs]
+    joined = clustering.admit(g, *memberships)
+    return (
+        joined,
+        [clustering.clustering_from_membership(m, joined.labels) for m in memberships],
+        [len(m) for m in memberships],
+    )
+
+
+def join_result(call):
+    try:
+        joined, clusterings, sizes = call()
+    except w.ClusteringParseError as exc:
+        return type(exc), exc.line_number, str(exc)
+    return joined.digest(), [c.assignment.tolist() for c in clusterings], sizes
+
+
+# graphs whose labels pack (some of them the files' labels too), and one
+# whose labels do not; and a second file that packs
+JOIN_GRAPHS = [
+    w.Graph.from_edges(0, []),
+    w.load_edgelist(b"a\tb\nb\t0\n1\t~\nZ\t!a\n")[0],
+    w.load_edgelist("a\tb\nb\tcafé\n".encode())[0],
+]
+OTHER_FILE = b"b\tq\nZZ\tq\n0\tr\n"
+
+
 @settings(max_examples=400, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(two_column_files())
@@ -83,6 +114,18 @@ def test_bulk_readers_match_the_loop(raw):
         assert result(lambda: w.load_edgelist(source())) == loop
         loop = result(lambda: clustering._membership_from_lines(data, newline))
         assert result(lambda: w.read_membership(source())) == loop
+        # the packed join against the dict path, for one file and for two
+        other = (OTHER_FILE, "\n")
+        for g in JOIN_GRAPHS:
+            assert join_result(lambda: clustering.join_memberships(g, source())) == (
+                join_result(lambda: dict_join(g, (data, newline)))
+            )
+            assert join_result(
+                lambda: clustering.join_memberships(g, source(), OTHER_FILE)
+            ) == join_result(lambda: dict_join(g, (data, newline), other))
+            assert join_result(
+                lambda: clustering.join_memberships(g, OTHER_FILE, source())
+            ) == join_result(lambda: dict_join(g, other, (data, newline)))
 
 
 # The 40k-node tier of the criterion-10 generator. The pins were recorded
@@ -95,11 +138,35 @@ PINNED_SPEC = w.GadgetSpec(
 
 @pytest.fixture(scope="module")
 def pinned_files(tmp_path_factory):
+    """The edgelist, the planted clustering, and an estimate: every third line
+    of the planted file dropped, the rest in reverse order with new tokens,
+    and 50 labels that neither the graph nor the planted file has."""
     tmp = tmp_path_factory.mktemp("pinned")
     g, truth = w.generate(PINNED_SPEC)
     w.write_edgelist(g, tmp / "net.tsv")
     w.write_clustering(truth, g, tmp / "gt.tsv")
-    return tmp / "net.tsv", tmp / "gt.tsv"
+    lines = (tmp / "gt.tsv").read_text().splitlines()
+    est = [
+        f"{line.split(chr(9))[0]}\t{i % 97}\n"
+        for i, line in reversed(list(enumerate(lines)))
+        if i % 3
+    ]
+    est += [f"new{i}\t{i % 5}\n" for i in range(50)]
+    (tmp / "est.tsv").write_text("".join(est))
+    return tmp / "net.tsv", tmp / "gt.tsv", tmp / "est.tsv"
+
+
+def sha256_of(assignment) -> str:
+    return hashlib.sha256(assignment.tobytes()).hexdigest()
+
+
+@pytest.fixture
+def packed_only(monkeypatch):
+    """Fail any read of a membership file by the dict path."""
+    def refuse(*args):
+        raise AssertionError("the dict path was taken")
+
+    monkeypatch.setattr(clustering, "_parse_membership", refuse)
 
 
 class TestPinnedIngest:
@@ -133,4 +200,50 @@ class TestPinnedIngest:
         assert len(membership) == 40000
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "5f7b0f367016929f88679bba9c15f115d74f06da01f790ecb6d093b4159a7cfd"
+        )
+
+    # the pins below were recorded with the dict path, before the packed join
+    @pytest.mark.parametrize("which, pins", [
+        (1, ("4e29d810bea01891a9f4e4ddf245c2ba527c2a435af727399eb42af3252035f6",
+             "207ec4ae46a92a313f45400e59fd6fea23ceaee3dd1e2dcb010ba07dbb80b15d",
+             23573, 0, 110)),
+        (2, ("f5325ede671c3d733a6c38fe4a7e88ec2204c2796452e7120e000c05964211c9",
+             "d8f9aafe4c4d0814d73ad50d9f558ccf9b83d28734d191948c5eebd684e1b011",
+             15762, 5473, 5570)),
+    ])
+    def test_load_clustering(self, pinned_files, packed_only, which, pins):
+        g, _ = w.load_edgelist(pinned_files[0])
+        res = w.load_clustering(pinned_files[which], g)
+        assert (
+            res.graph.digest(), sha256_of(res.clustering.assignment),
+            res.unknown_labels, res.missing_nodes, res.clustering.num_clusters,
+        ) == pins
+
+    def test_eval_universe(self, pinned_files, packed_only):
+        args = Namespace(
+            edgelist=pinned_files[0], ground_truth=pinned_files[1],
+            estimated=pinned_files[2], restrict_common=False,
+        )
+        truth, est, g, restricted = cli._universe_for_eval(args)
+        assert g.digest() == (
+            "a26117fd362a6f55a1b104c402f5fa8ce9c69a0d2c63f0648d80d57216224391"
+        )
+        assert sha256_of(truth.assignment) == (
+            "2eeee28e0497ced5927404b520f4ae1b0f5b172132454bc355c9d458a9944b12"
+        )
+        assert sha256_of(est.assignment) == (
+            "f031884995d73550c5946c4bdab43747f73111ae884fdfe8c2a3bdf5449aa4f8"
+        )
+        assert (truth.num_clusters, est.num_clusters) == (160, 13431)
+        assert restricted == {
+            "restricted": False, "dropped_truth": 0, "dropped_estimated": 0
+        }
+
+    def test_write_clustering(self, pinned_files, packed_only):
+        g, _ = w.load_edgelist(pinned_files[0])
+        res = w.load_clustering(pinned_files[1], g)
+        out = io.StringIO()
+        w.write_clustering(res.clustering, res.graph, out)
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+            "3d45f801233a8e67ad9628e016f52dcad61df04a836d1b2906d5fda122ac2e40"
         )
