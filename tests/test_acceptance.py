@@ -7,6 +7,7 @@ it is asserted as stated and fails; see README for the analysis.
 Everything else passes.
 """
 
+import hashlib
 import io
 import json
 import math
@@ -359,42 +360,55 @@ sys.exit(os.waitstatus_to_exitcode(status))
 """
 
 
-def test_criterion_10_performance_smoke(tmp_path):
+@pytest.fixture(scope="module")
+def criterion_10_run(tmp_path_factory):
+    """Generate criterion 10's input and treat it once, for every test of it.
+
+    Returns the generate and treat processes, treat's wall time and the
+    treated file; the tests assert on them.
+    """
+    tmp_path = tmp_path_factory.mktemp("criterion10")
+    edgelist = tmp_path / "net.tsv"
+    clustering = tmp_path / "gt.tsv"
+    gen = subprocess.run(
+        [sys.executable, "-m", "wellconn", "generate",
+         "--kind", "planted-partition-lite", "--sizes", PERF_SIZES,
+         "--p-in", str(PERF_P_IN), "--p-out", str(PERF_P_OUT),
+         "--seed", "2026",
+         "--edgelist-out", str(edgelist),
+         "--clustering-out", str(clustering),
+         "--output", str(tmp_path / "gen.json")],
+        capture_output=True,
+        text=True,
+        env=wellconn_env(),
+    )
+    out = tmp_path / "treated.tsv"
+    if gen.returncode != 0:
+        return gen, None, 0.0, out
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_LAUNCHER,
+         sys.executable, "-m", "wellconn", "treat",
+         "--edgelist", str(edgelist), "--existing-clustering", str(clustering),
+         "--mode", "wcc", "--threshold", "1log10",
+         "--num-processors", "1",
+         "--output-file", str(out)],
+        capture_output=True,
+        text=True,
+        env=wellconn_env(),
+    )
+    return gen, proc, time.monotonic() - started, out
+
+
+def test_criterion_10_performance_smoke(criterion_10_run):
     with record(10, "wcc on 1M nodes / ~5M edges within 10 min and 8 GB"):
-        edgelist = tmp_path / "net.tsv"
-        clustering = tmp_path / "gt.tsv"
-        gen = subprocess.run(
-            [sys.executable, "-m", "wellconn", "generate",
-             "--kind", "planted-partition-lite", "--sizes", PERF_SIZES,
-             "--p-in", str(PERF_P_IN), "--p-out", str(PERF_P_OUT),
-             "--seed", "2026",
-             "--edgelist-out", str(edgelist),
-             "--clustering-out", str(clustering),
-             "--output", str(tmp_path / "gen.json")],
-            capture_output=True,
-            text=True,
-            env=wellconn_env(),
-        )
+        gen, proc, elapsed, out = criterion_10_run
         assert gen.returncode == 0, gen.stderr
-        info = json.loads((tmp_path / "gen.json").read_text())["payload"]
+        info = json.loads((out.parent / "gen.json").read_text())["payload"]
         assert info["nodes"] == 1_000_000
         assert 4_500_000 <= info["edges"] <= 5_500_000
         assert max(w.parse_sizes(PERF_SIZES)) <= 20_000
 
-        out = tmp_path / "treated.tsv"
-        started = time.monotonic()
-        proc = subprocess.run(
-            [sys.executable, "-c", PEAK_RSS_LAUNCHER,
-             sys.executable, "-m", "wellconn", "treat",
-             "--edgelist", str(edgelist), "--existing-clustering", str(clustering),
-             "--mode", "wcc", "--threshold", "1log10",
-             "--num-processors", "1",
-             "--output-file", str(out)],
-            capture_output=True,
-            text=True,
-            env=wellconn_env(),
-        )
-        elapsed = time.monotonic() - started
         assert proc.returncode == 0, proc.stderr
         peak_gb = int(proc.stdout.split()[-1]) / 1048576
         trace = json.loads((out.parent / (out.name + ".run.json")).read_text())[
@@ -406,3 +420,21 @@ def test_criterion_10_performance_smoke(tmp_path):
         )
         assert elapsed < 600.0
         assert peak_gb < 8.0
+
+
+# criterion 10's treated file, its cuts and its clusters out, as the exact
+# solver alone first gave them: every change to the min-cut path keeps them
+CRITERION_10_TREATED_SHA256 = (
+    "8891bc305f730e51a4bddf327862635d1d887c4bc6853794e52f1526b7eb2d04"
+)
+
+
+def test_criterion_10_output_pinned(criterion_10_run):
+    gen, proc, _, out = criterion_10_run
+    assert gen.returncode == 0, gen.stderr
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads((out.parent / (out.name + ".run.json")).read_text())["payload"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CRITERION_10_TREATED_SHA256
+    assert payload["output_sha256"] == CRITERION_10_TREATED_SHA256
+    assert payload["trace"]["cuts_performed"] == 6226
+    assert payload["clusters_out"] == 194269
