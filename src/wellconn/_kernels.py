@@ -202,6 +202,75 @@ def _ma_ordering(ip, nb, wt, nv):
     return scanned, last, prev, qv
 
 
+def _spanning_forest(n, a, b):
+    """Positions of the edges (a, b) that make one maximal spanning forest.
+
+    Each round, every tree's root hooks to the smallest root it touches,
+    through the smallest such edge: one `np.minimum.at` over packed
+    (root, edge) keys picks it. A hook always goes from a larger root to a
+    smaller one, so the picked edges close no cycle.
+    """
+    m = len(a)
+    lab = np.arange(n)
+    pos = np.arange(m)
+    picked = [pos[:0]]
+    while len(pos):
+        la, lb = lab[a[pos]], lab[b[pos]]
+        across = la != lb
+        pos, la, lb = pos[across], la[across], lb[across]
+        key = np.full(n, n * m, np.int64)
+        np.minimum.at(key, np.maximum(la, lb), np.minimum(la, lb) * m + pos)
+        roots = np.flatnonzero(key < n * m)
+        picked.append(key[roots] % m)
+        lab[roots] = key[roots] // m
+        while not np.array_equal(jump := lab[lab], lab):
+            lab = jump
+    return np.concatenate(picked)
+
+
+def forest_certificate(n, a, b, k, w=None, exact=False):
+    """Decide whether a connected graph's min cut λ is at least k, without a scan.
+
+    The graph has n nodes and the edges (a, b), each of weight w (default 1),
+    no self-loops. Each pass takes k - 1 maximal spanning forests, each in
+    the units the earlier ones left, an edge of weight w counting as w units
+    (Nagamochi and Ibaraki, Algorithmica 7:583, 1992). An edge with a unit
+    left over joins two ends that k edge-disjoint paths join, so contracting
+    every such edge keeps every cut below k; the next pass runs on the
+    weighted multigraph that is left. Every supervertex star is a cut.
+
+    Returns k once one supervertex is left (λ >= k), or the first star below
+    k (λ is at most that star). With `exact`, k is lowered to each star below
+    it and the passes go on, so the value returned is min(λ, k). Returns None
+    when a pass contracts nothing: the graph is left undecided.
+    """
+    w = np.ones(len(a), np.int64) if w is None else w
+    while n > 1:
+        least = int((np.bincount(a, w, n) + np.bincount(b, w, n)).min())
+        if least < k:
+            if not exact:
+                return least
+            k = least
+        left = w.copy()
+        for _ in range(k - 1):
+            live = np.flatnonzero(left)
+            left[live[_spanning_forest(n, a[live], b[live])]] -= 1
+        sel = left > 0
+        if not sel.any():
+            return None
+        newid = component_labels(n, a[sel], b[sel])
+        n = int(newid.max()) + 1
+        a, b = newid[a], newid[b]
+        kept = a != b
+        keys, inv = np.unique(
+            np.minimum(a[kept], b[kept]) * n + np.maximum(a[kept], b[kept]),
+            return_inverse=True,
+        )
+        w = np.bincount(inv, w[kept]).astype(np.int64)
+        a, b = keys // n, keys % n
+    return k
+
+
 def min_cut_csr(indptr, adj):
     """Exact global minimum edge cut of a connected simple graph in CSR form.
 

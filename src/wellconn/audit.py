@@ -14,7 +14,9 @@ processes. The report does not depend on the worker count.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import logging
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -29,6 +31,8 @@ from .clustering import (
 )
 from .errors import ContractViolation
 from .graph import Graph
+
+log = logging.getLogger("wellconn")
 
 CATEGORIES = ("well", "poor", "disconnected", "singleton", "skipped")
 
@@ -57,6 +61,43 @@ class ClusterAudit:
         }
 
 
+class ClusterAudits(Sequence):
+    """Every cluster's verdict, held as one list per field of `ClusterAudit`.
+
+    An item is that cluster's `ClusterAudit`, made when it is read; `rows`
+    and `to_dicts` read the columns without making one.
+    """
+
+    __hash__ = None
+
+    def __init__(self, *columns: list):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return ClusterAudit(*(column[i] for column in self._columns))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ClusterAudits):
+            return self._columns == other._columns
+        return list(self) == other
+
+    def rows(self):
+        """Each cluster's fields, in `ClusterAudit`'s order, as tuples."""
+        return zip(*self._columns)
+
+    def to_dicts(self) -> list[dict]:
+        """Each cluster's `ClusterAudit.to_dict()`."""
+        return [dict(zip(_FIELDS, row)) for row in self.rows()]
+
+
+_FIELDS = tuple(f.name for f in fields(ClusterAudit))
+
+
 @dataclass
 class ConnectivityReport:
     """Per-cluster verdicts plus the aggregate quantities of a run."""
@@ -65,7 +106,7 @@ class ConnectivityReport:
     graph_edges: int
     graph_digest: str
     threshold: str
-    clusters: list[ClusterAudit]
+    clusters: ClusterAudits
     counts: dict[str, int]
     proportions: dict[str, float]
     node_coverage: float
@@ -85,14 +126,36 @@ class ConnectivityReport:
             "proportions": dict(self.proportions),
             "node_coverage": self.node_coverage,
             "cluster_stats": asdict(self.stats),
-            "clusters": [rec.to_dict() for rec in self.clusters],
+            "clusters": self.clusters.to_dicts(),
         }
 
 
-def _min_cut(indptr: np.ndarray, adj: np.ndarray, members: np.ndarray) -> int:
-    """The min cut value of one connected cluster."""
-    value, _side = _kernels.min_cut_csr(*_kernels.induced_csr(indptr, adj, members))
-    return int(value)
+# how the solver's share of the min cuts was settled, as _min_cut reports it
+BY_CERTIFICATE, BY_SOLVER, STALLED = range(3)
+
+
+def _min_cut(
+    indptr: np.ndarray, adj: np.ndarray, members: np.ndarray, t: ThresholdSpec
+) -> tuple[int, int]:
+    """The min cut value of one connected cluster, and how it was settled.
+
+    A cluster whose minimum degree d is at most floor(f(size)) + 1 is
+    offered to the forest certificate, which finds its exact value from few
+    forests; the solver takes the rest, and every cluster the certificate
+    leaves undecided.
+    """
+    si, sa = _kernels.induced_csr(indptr, adj, members)
+    how = BY_SOLVER
+    degree_min = int(np.diff(si).min())
+    if degree_min <= int(t.value(len(members))) + 1:
+        value = _kernels.forest_certificate(
+            len(members), *_kernels.upper_edges(si, sa), degree_min, exact=True
+        )
+        if value is not None:
+            return value, BY_CERTIFICATE
+        how = STALLED
+    value, _side = _kernels.min_cut_csr(si, sa)
+    return int(value), how
 
 
 def connectivity_audit(
@@ -115,27 +178,40 @@ def connectivity_audit(
     delta = np.full(len(sizes), np.iinfo(np.int64).max)
     np.minimum.at(delta, c.assignment, degree)
     certified = solve & ((delta == 1) | (delta >= sizes // 2))
-    cuts = dict(zip(np.flatnonzero(certified).tolist(), delta[certified].tolist()))
+    cut = np.where(certified, delta, -1)  # -1: no min cut taken
     ids = np.flatnonzero(solve & ~certified)
-    cuts.update(zip(ids.tolist(), map_clusters(g, c, ids, _min_cut, (), processes)))
-    records = []
-    counts = dict.fromkeys(CATEGORIES, 0)
-    for cid, (size, whole) in enumerate(zip(sizes.tolist(), connected.tolist())):
-        bound = t.value(size)
-        value = cuts.get(cid)
-        if size == 1:
-            category = "singleton"
-        elif not whole:
-            category = "disconnected"
-        elif value is None:
-            category = "skipped"
-        else:
-            category = "well" if value > bound else "poor"
-        counts[category] += 1
-        at_boundary = value is not None and abs(value - bound) < 1e-9
-        records.append(
-            ClusterAudit(cid, size, whole, value, category, bound, at_boundary)
-        )
+    results = map_clusters(g, c, ids, _min_cut, (t,), processes)
+    settled = [0, 0, 0]
+    for _, how in results:
+        settled[how] += 1
+    cut[ids] = [value for value, _ in results]
+    log.info(
+        "audit min cuts: %d clusters settled by degree, %d by certificate, %d by "
+        "the solver; %d certificate passes stalled",
+        np.count_nonzero(certified), settled[BY_CERTIFICATE],
+        settled[BY_SOLVER] + settled[STALLED], settled[STALLED],
+    )
+    # the bound once per distinct size, as t.value returns it
+    distinct, size_of = np.unique(sizes, return_inverse=True)
+    bounds = np.array([t.value(size) for size in distinct.tolist()], object)[size_of]
+    bound = bounds.astype(np.float64)
+    has_cut = cut >= 0
+    code = np.select(
+        [sizes == 1, ~connected, ~has_cut, cut > bound],
+        [CATEGORIES.index(cat) for cat in ("singleton", "disconnected", "skipped", "well")],
+        CATEGORIES.index("poor"),
+    )
+    counts = dict(zip(CATEGORIES, np.bincount(code, minlength=len(CATEGORIES)).tolist()))
+    min_cuts = np.where(has_cut, cut, None).tolist()
+    columns = ClusterAudits(
+        list(range(len(sizes))),
+        sizes.tolist(),
+        connected.tolist(),
+        min_cuts,
+        np.array(CATEGORIES, object)[code].tolist(),
+        bounds.tolist(),
+        (has_cut & (np.abs(cut - bound) < 1e-9)).tolist(),
+    )
     non_singleton = sum(counts[cat] for cat in CATEGORIES if cat != "singleton")
     proportions = {
         cat: (counts[cat] / non_singleton if non_singleton else 0.0)
@@ -147,7 +223,7 @@ def connectivity_audit(
         graph_edges=g.m,
         graph_digest=g.digest(),
         threshold=str(t),
-        clusters=records,
+        clusters=columns,
         counts=counts,
         proportions=proportions,
         node_coverage=node_coverage(c),

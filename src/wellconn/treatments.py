@@ -49,6 +49,9 @@ from .graph import Graph, split_by_label, write_edgelist
 
 log = logging.getLogger("wellconn")
 
+# how a piece's pass-or-cut decision was settled, counted per cluster
+BY_DEGREE, BY_CERTIFICATE, BY_SOLVER, STALLED = range(4)
+
 
 @dataclass
 class TreatmentTrace:
@@ -206,17 +209,21 @@ def _process_cluster(
     t: ThresholdSpec,
     clusterer,
     labels: list[str],
-) -> tuple[np.ndarray, np.ndarray, int, int, int]:
+) -> tuple[np.ndarray, np.ndarray, int, int, int, list[int]]:
     """Run the split queue for one original cluster, given the first split.
 
     `nodes` are its members, and `piece` the first-split piece of each node.
-    Returns (members, sizes, cuts_performed, components_splits, max_depth):
-    the emitted pieces concatenated in emission order, and their lengths, so
-    that a worker sends back two arrays however many pieces there are.
+    Returns (members, sizes, cuts_performed, components_splits, max_depth,
+    settled): the emitted pieces concatenated in emission order, and their
+    lengths, so that a worker sends back two arrays however many pieces
+    there are; and how many pass-or-cut decisions each way settled, indexed
+    by BY_DEGREE (vertices the peel strips), BY_CERTIFICATE, BY_SOLVER and
+    STALLED (solved after the certificate stalled).
     """
     fast = clusterer is None or clusterer.trivial_on_connected
     emitted: list[np.ndarray] = []
     cuts = comp_splits = maxdepth = 0
+    settled = [0, 0, 0, 0]
     parts = [nodes[grp] for grp in split_by_label(piece[nodes])]
     depth = int(len(parts) > 1)  # a first split, which the caller counts
     if depth:
@@ -254,12 +261,24 @@ def _process_cluster(
                 alive, peeled, count = _kernels.low_degree_peel(si, sa, t.value)
                 if count > 0:  # guard: an empty batch must not re-enqueue
                     cuts += count
+                    settled[BY_DEGREE] += count
                     for i in range(count):
                         emitted.append(nd[peeled[i] : peeled[i] + 1])
                     if depth + count > maxdepth:
                         maxdepth = depth + count
                     stack.append((nd[alive], depth + count, False))
                     continue
+        # a piece whose min cut the forests certify above the bound passes;
+        # the solver takes the rest, so every cut taken is its first optimum
+        above = int(bound) + 1
+        certified = _kernels.forest_certificate(
+            len(si) - 1, *_kernels.upper_edges(si, sa), above
+        )
+        if certified == above:
+            settled[BY_CERTIFICATE] += 1
+            emitted.append(nd)
+            continue
+        settled[BY_SOLVER if certified is not None else STALLED] += 1
         value, side = _kernels.min_cut_csr(si, sa)
         if value < 0:
             raise TreatmentError("cluster became disconnected unexpectedly")
@@ -272,7 +291,7 @@ def _process_cluster(
             stack.append((part, depth + 1, fast))
     sizes = np.fromiter(map(len, emitted), np.int64, len(emitted))
     members = emitted[0] if len(emitted) == 1 else np.concatenate(emitted)
-    return members, sizes, cuts, comp_splits, maxdepth
+    return members, sizes, cuts, comp_splits, maxdepth, settled
 
 
 def _recluster(
@@ -340,7 +359,11 @@ def _treat(
     )
     assignment = piece
     next_id = len(owner)
-    for idx, (members, sizes, cuts, comp_splits, maxdepth) in zip(ids.tolist(), results):
+    settled = [0, 0, 0, 0]
+    for idx, (members, sizes, cuts, comp_splits, maxdepth, how) in zip(
+        ids.tolist(), results
+    ):
+        settled = [a + b for a, b in zip(settled, how)]
         assignment[members] = np.repeat(np.arange(next_id, next_id + len(sizes)), sizes)
         next_id += len(sizes)
         trace.cuts_performed += cuts
@@ -350,6 +373,10 @@ def _treat(
                   "splits)", idx, len(members), len(sizes), cuts, comp_splits)
     treated = Clustering.from_assignment(assignment)
     trace.clusters_out = treated.num_clusters
+    log.info("treatment pieces: %d settled by degree, %d by certificate, %d by the "
+             "solver; %d certificate passes stalled", settled[BY_DEGREE],
+             settled[BY_CERTIFICATE], settled[BY_SOLVER] + settled[STALLED],
+             settled[STALLED])
     log.info("treatment: %d clusters in, %d out, %d cuts, %d component splits",
              trace.clusters_in, trace.clusters_out, trace.cuts_performed,
              trace.components_splits)

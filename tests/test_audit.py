@@ -207,7 +207,7 @@ class TestDegreeCertificate:
         parts = [
             path_edges(10),  # minimum degree 1: certified, cut 1
             clique_edges(8),  # 7 >= 8 // 2: certified, cut 7
-            cycle_edges(10),  # 2 < 10 // 2: solved, cut 2
+            cycle_edges(10),  # 2 <= floor(log10(10)) + 1: forest certificate, cut 2
             edges_of(two_cliques(6, bridges=1)),  # 5 < 12 // 2: solved, cut 1
             [],
             [],
@@ -225,7 +225,7 @@ class TestDegreeCertificate:
         g, c = self.mixed()
         calls = solver_calls(monkeypatch)
         report = w.connectivity_audit(g, c, threshold)
-        assert calls == [10, 12]
+        assert calls == [12]
         assert [rec.min_cut for rec in report.clusters] == [1, 7, 2, 1, None, None]
         assert [rec.category for rec in report.clusters] == [
             "poor", "well", "well", "poor", "singleton", "disconnected",
