@@ -98,12 +98,66 @@ def _sha256(path: str | Path) -> str:
     return h.hexdigest()
 
 
+# json's C encoder writes a container without indentation, its members split
+# by ",\n". A raw newline never occurs inside a JSON string, so putting the
+# indentation after each newline gives the bytes of
+# `json.JSONEncoder(indent=2, sort_keys=True)`, whose pure-Python indented
+# encoder is several times slower.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n", ": "))
+_RECORDS_PER_BLOCK = 2048
+
+
+def _nested(value) -> bool:
+    return isinstance(value, (dict, list, tuple)) and len(value) > 0
+
+
+def _flat(value) -> bool:
+    """A container whose members hold no member of their own."""
+    members = value.values() if isinstance(value, dict) else value
+    return not any(map(_nested, members))
+
+
+def _indented(value, level: int):
+    """The text of `value` as an indented member at `level`, in chunks.
+
+    One C call encodes a flat container, and one per block a list of flat
+    records, whose boundaries, the only "},\n{" in the text, open and close
+    their own lines. Only containers of containers are walked here.
+    """
+    if not isinstance(value, (dict, list, tuple)):
+        yield _ENCODER.encode(value)
+        return
+    close = "\n" + "  " * level
+    pad = close + "  "
+    if _flat(value):
+        text = _ENCODER.encode(value)
+        yield text if len(text) == 2 else text[0] + pad + text[1:-1].replace(
+            "\n", pad) + close + text[-1]
+    elif isinstance(value, dict):
+        for i, key in enumerate(sorted(value)):
+            yield f"{',' if i else '{'}{pad}{_ENCODER.encode(key)}: "
+            yield from _indented(value[key], level + 1)
+        yield close + "}"
+    elif all(isinstance(item, dict) and item and _flat(item) for item in value):
+        inner = pad + "  "
+        for i in range(0, len(value), _RECORDS_PER_BLOCK):
+            text = _ENCODER.encode(value[i : i + _RECORDS_PER_BLOCK])
+            text = text[2:-2].replace("\n", inner).replace(
+                "}," + inner + "{", pad + "}," + pad + "{" + inner)
+            yield f"{',' if i else '['}{pad}{{{inner}{text}{pad}}}"
+        yield close + "]"
+    else:
+        for i, item in enumerate(value):
+            yield f"{',' if i else '['}{pad}"
+            yield from _indented(item, level + 1)
+        yield close + "]"
+
+
 def _write_document(target: str | None, manifest: dict, payload: dict) -> None:
     doc = {"manifest": manifest, "payload": payload}
     # written as it is encoded: the whole text of a large audit would set the
     # command's peak memory
-    encoder = json.JSONEncoder(indent=2, sort_keys=True)
-    text = chain(encoder.iterencode(doc), ["\n"])
+    text = chain(_indented(doc, 0), ["\n"])
     if target in (None, "-"):
         # flushed here, so that a stream that cannot take the document fails
         # inside main's error handling
