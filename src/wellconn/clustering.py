@@ -274,7 +274,7 @@ def admit(g: Graph, *memberships: dict[str, str]) -> Graph:
     extra = dict.fromkeys(lab for m in memberships for lab in m)
     for lab in g.labels:
         extra.pop(lab, None)
-    return g.with_isolated(list(extra))
+    return g._extended(list(extra))
 
 
 def clustering_from_membership(
@@ -378,7 +378,7 @@ def _packed_join(
     extra_ids, extra = _kernels.first_appearance_ids(
         np.concatenate([unknown for _, unknown, _, _ in packed])
     )
-    graph = g.with_isolated(_key_labels(extra))
+    graph = g._extended(_key_labels(extra))
     added = np.arange(g.n, graph.n, dtype=np.uint64)
     clusterings = []
     for node_keys, unknown, tokens, _ in packed:

@@ -77,11 +77,16 @@ class Graph:
 
     def with_isolated(self, extra_labels: list[str]) -> "Graph":
         """Copy of this graph extended with degree-0 nodes for `extra_labels`."""
+        if extra_labels:
+            present = _unique(extra_labels).intersection(self.labels)
+            if present:
+                raise ContractViolation(f"label already present: {min(present)!r}")
+        return self._extended(extra_labels)
+
+    def _extended(self, extra_labels: list[str]) -> "Graph":
+        """`with_isolated` for labels known to be distinct and absent from this graph."""
         if not extra_labels:
             return self
-        present = _unique(extra_labels).intersection(self.labels)
-        if present:
-            raise ContractViolation(f"label already present: {min(present)!r}")
         indptr = np.concatenate(
             [self.indptr, np.full(len(extra_labels), self.indptr[-1], np.int64)]
         )
