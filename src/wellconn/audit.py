@@ -7,9 +7,12 @@ Disconnected clusters, and each node's degree inside its cluster, are found
 in one pass over the graph (`_engine.first_split`). A connected cluster's
 minimum degree d fixes its min cut when d is 1, or when d is at least half
 its size, rounded down (Chartrand, SIAM J. Appl. Math. 14:778, 1966): the
-min cut is then d. The min cut of every other connected cluster is taken by
-the solver through `_engine.map_clusters`, serially or on forked worker
-processes. The report does not depend on the worker count.
+min cut is then d. Every other connected cluster goes through
+`_engine.map_clusters`, serially or on forked worker processes: one of
+minimum degree at most floor(f(size)) + 1 has its exact min cut read from
+the forest certificate (`_kernels.forest_certificate`), and the solver takes
+the rest and every cluster the certificate leaves undecided. The verdicts
+are held as columns. The report does not depend on the worker count.
 """
 
 from __future__ import annotations

@@ -280,10 +280,10 @@ def _cmd_audit(args):
             "\tthreshold_bound\tat_boundary\n"
         )
         rows = (
-            f"{rec.cluster_id}\t{rec.size}\t{rec.connected}"
-            f"\t{'' if rec.min_cut is None else rec.min_cut}"
-            f"\t{rec.category}\t{rec.threshold_bound!r}\t{rec.at_boundary}\n"
-            for rec in report.clusters
+            f"{cid}\t{size}\t{connected}\t{'' if cut is None else cut}"
+            f"\t{category}\t{bound!r}\t{at_boundary}\n"
+            for cid, size, connected, cut, category, bound, at_boundary
+            in report.clusters.rows()
         )
         write_lines(args.per_cluster_table, chain([header], rows))
     options = {

@@ -20,6 +20,12 @@ canonically and do not depend on the worker count. Only the remainder of a
 low-degree peel and the parts of a non-trivial re-clusterer are labelled into
 components again: each side of a global minimum cut of a connected graph is
 connected.
+
+A connected piece that may need a cut is first offered to the forest
+certificate (`_kernels.forest_certificate`) at k = floor(bound) + 1: a piece
+whose min cut it certifies to be at least k passes as it is. Only the other
+pieces go to the exact solver, so every cut taken is the solver's first
+optimum, as before.
 """
 
 from __future__ import annotations
