@@ -32,6 +32,7 @@ threads; no cluster's work calls BLAS.
 from __future__ import annotations
 
 import heapq
+import logging
 import os
 import pickle
 import signal
@@ -42,6 +43,23 @@ from . import _kernels
 from .clustering import Clustering
 from .errors import ContractViolation, TreatmentError
 from .graph import Graph, split_by_label
+
+log = logging.getLogger("wellconn")
+
+# how a piece's or a cluster's min-cut question was settled: by its degrees,
+# by the forest certificate, by the solver, or by the solver after a
+# certificate pass stalled
+BY_DEGREE, BY_CERTIFICATE, BY_SOLVER, STALLED = range(4)
+
+
+def log_settled(what: str, settled: list[int]) -> None:
+    """One log line of how many `what` each way settled, indexed as above."""
+    log.info(
+        "%s: %d settled by degree, %d by certificate, %d by the solver; %d "
+        "certificate passes stalled", what, settled[BY_DEGREE],
+        settled[BY_CERTIFICATE], settled[BY_SOLVER] + settled[STALLED],
+        settled[STALLED],
+    )
 
 
 def first_split(

@@ -17,14 +17,20 @@ are held as columns. The report does not depend on the worker count.
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import _kernels
-from ._engine import first_split, map_clusters
+from ._engine import (
+    BY_CERTIFICATE,
+    BY_SOLVER,
+    STALLED,
+    first_split,
+    log_settled,
+    map_clusters,
+)
 from .clustering import (
     Clustering,
     ClusterStats,
@@ -34,8 +40,6 @@ from .clustering import (
 )
 from .errors import ContractViolation
 from .graph import Graph
-
-log = logging.getLogger("wellconn")
 
 CATEGORIES = ("well", "poor", "disconnected", "singleton", "skipped")
 
@@ -133,10 +137,6 @@ class ConnectivityReport:
         }
 
 
-# how the solver's share of the min cuts was settled, as _min_cut reports it
-BY_CERTIFICATE, BY_SOLVER, STALLED = range(3)
-
-
 def _min_cut(
     indptr: np.ndarray, adj: np.ndarray, members: np.ndarray, t: ThresholdSpec
 ) -> tuple[int, int]:
@@ -184,16 +184,11 @@ def connectivity_audit(
     cut = np.where(certified, delta, -1)  # -1: no min cut taken
     ids = np.flatnonzero(solve & ~certified)
     results = map_clusters(g, c, ids, _min_cut, (t,), processes)
-    settled = [0, 0, 0]
+    settled = [int(np.count_nonzero(certified)), 0, 0, 0]
     for _, how in results:
         settled[how] += 1
     cut[ids] = [value for value, _ in results]
-    log.info(
-        "audit min cuts: %d clusters settled by degree, %d by certificate, %d by "
-        "the solver; %d certificate passes stalled",
-        np.count_nonzero(certified), settled[BY_CERTIFICATE],
-        settled[BY_SOLVER] + settled[STALLED], settled[STALLED],
-    )
+    log_settled("audit clusters", settled)
     # the bound once per distinct size, as t.value returns it
     distinct, size_of = np.unique(sizes, return_inverse=True)
     bounds = np.array([t.value(size) for size in distinct.tolist()], object)[size_of]

@@ -37,7 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._engine import first_split, map_clusters
+from ._engine import (
+    BY_CERTIFICATE,
+    BY_DEGREE,
+    BY_SOLVER,
+    STALLED,
+    first_split,
+    log_settled,
+    map_clusters,
+)
 from .clustering import (
     Clustering,
     ThresholdSpec,
@@ -54,9 +62,6 @@ from .errors import (
 from .graph import Graph, split_by_label, write_edgelist
 
 log = logging.getLogger("wellconn")
-
-# how a piece's pass-or-cut decision was settled, counted per cluster
-BY_DEGREE, BY_CERTIFICATE, BY_SOLVER, STALLED = range(4)
 
 
 @dataclass
@@ -223,8 +228,8 @@ def _process_cluster(
     settled): the emitted pieces concatenated in emission order, and their
     lengths, so that a worker sends back two arrays however many pieces
     there are; and how many pass-or-cut decisions each way settled, indexed
-    by BY_DEGREE (vertices the peel strips), BY_CERTIFICATE, BY_SOLVER and
-    STALLED (solved after the certificate stalled).
+    as `_engine.log_settled` reads them (by degree: the vertices the peel
+    strips).
     """
     fast = clusterer is None or clusterer.trivial_on_connected
     emitted: list[np.ndarray] = []
@@ -379,10 +384,7 @@ def _treat(
                   "splits)", idx, len(members), len(sizes), cuts, comp_splits)
     treated = Clustering.from_assignment(assignment)
     trace.clusters_out = treated.num_clusters
-    log.info("treatment pieces: %d settled by degree, %d by certificate, %d by the "
-             "solver; %d certificate passes stalled", settled[BY_DEGREE],
-             settled[BY_CERTIFICATE], settled[BY_SOLVER] + settled[STALLED],
-             settled[STALLED])
+    log_settled("treatment pieces", settled)
     log.info("treatment: %d clusters in, %d out, %d cuts, %d component splits",
              trace.clusters_in, trace.clusters_out, trace.cuts_performed,
              trace.components_splits)
