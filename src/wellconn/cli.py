@@ -117,12 +117,21 @@ def _flat(value) -> bool:
     return not any(map(_nested, members))
 
 
+def _records(value) -> bool:
+    """A list of non-empty dicts, none of whose values is a container."""
+    if set(map(type, value)) != {dict} or not all(value):
+        return False
+    kinds = set(map(type, chain.from_iterable(map(dict.values, value))))
+    return not any(issubclass(kind, (dict, list, tuple)) for kind in kinds)
+
+
 def _indented(value, level: int):
     """The text of `value` as an indented member at `level`, in chunks.
 
     One C call encodes a flat container, and one per block a list of flat
     records, whose boundaries, the only "},\n{" in the text, open and close
-    their own lines. Only containers of containers are walked here.
+    their own lines. Only containers of containers are walked here; their
+    keys are str, as in every document wellconn writes.
     """
     if not isinstance(value, (dict, list, tuple)):
         yield _ENCODER.encode(value)
@@ -138,7 +147,7 @@ def _indented(value, level: int):
             yield f"{',' if i else '{'}{pad}{_ENCODER.encode(key)}: "
             yield from _indented(value[key], level + 1)
         yield close + "}"
-    elif all(isinstance(item, dict) and item and _flat(item) for item in value):
+    elif _records(value):
         inner = pad + "  "
         for i in range(0, len(value), _RECORDS_PER_BLOCK):
             text = _ENCODER.encode(value[i : i + _RECORDS_PER_BLOCK])

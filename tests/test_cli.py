@@ -1003,3 +1003,49 @@ class TestUniversePins:
             "edges": 7,
             "nodes": 8,
         }
+
+
+def random_document(rng, depth: int = 0):
+    """Nested JSON values: scalars, strings that hold JSON's own punctuation,
+    empty containers, and lists of flat records."""
+    def scalar():
+        kind = rng.integers(6)
+        if kind == 0:
+            return int(rng.integers(-10**6, 10**6))
+        if kind == 1:
+            return float(rng.random() * 10.0 ** rng.integers(-5, 20))
+        if kind == 2:
+            return [None, True, False, float("nan"), -0.0][int(rng.integers(5))]
+        parts = ["a", '"', "\\", "\n", "},\n{", "{", "]", ",", ": ", "é", "\x00"]
+        return "".join(rng.choice(parts, size=int(rng.integers(0, 5))))
+
+    def key():
+        value = scalar()
+        return value if isinstance(value, str) else str(value)
+
+    kind = rng.integers(5) if depth < 4 else 0
+    if kind <= 1:
+        return scalar()
+    if kind == 2:
+        return [random_document(rng, depth + 1) for _ in range(rng.integers(0, 4))]
+    if kind == 3:
+        return {key(): random_document(rng, depth + 1) for _ in range(rng.integers(0, 4))}
+    keys = [key() for _ in range(rng.integers(0, 4))]
+    return [
+        {k: scalar() if rng.random() < 0.9 else [{}, []][int(rng.integers(2))] for k in keys}
+        for _ in range(rng.integers(0, 6))
+    ]
+
+
+def test_documents_are_encoded_as_by_the_indented_encoder(tmp_path, monkeypatch):
+    from wellconn import cli
+
+    monkeypatch.setattr(cli, "_RECORDS_PER_BLOCK", 2)  # records span blocks
+    rng = np.random.default_rng(5)
+    reference = json.JSONEncoder(indent=2, sort_keys=True)
+    for i in range(2000):
+        manifest = {"run": i}
+        payload = {str(j): random_document(rng) for j in range(rng.integers(0, 4))}
+        cli._write_document(tmp_path / "doc.json", manifest, payload)
+        expected = reference.encode({"manifest": manifest, "payload": payload}) + "\n"
+        assert (tmp_path / "doc.json").read_text() == expected
