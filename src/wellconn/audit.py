@@ -75,8 +75,6 @@ class ClusterAudits(Sequence):
     and `to_dicts` read the columns without making one.
     """
 
-    __hash__ = None
-
     def __init__(self, *columns: list):
         self._columns = columns
 
