@@ -107,14 +107,10 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n", ": "))
 _RECORDS_PER_BLOCK = 2048
 
 
-def _nested(value) -> bool:
-    return isinstance(value, (dict, list, tuple)) and len(value) > 0
-
-
 def _flat(value) -> bool:
     """A container whose members hold no member of their own."""
     members = value.values() if isinstance(value, dict) else value
-    return not any(map(_nested, members))
+    return not any(isinstance(m, (dict, list, tuple)) and m for m in members)
 
 
 def _records(value) -> bool:

@@ -1,13 +1,13 @@
 """Byte-identity gate: every output of treat, audit and eval keeps its bytes.
 
-Small planted partitions, made with `wellconn.gadgets`, are treated with
-`wcc`, `cc` and `cm --clusterer components` at one and two workers, for two
-seeds; each treated clustering is then audited, with its per-cluster table,
-and scored against the planted one. The sha256 of each treated file, of each
-per-cluster table and of the text of each document's payload, as written,
-is pinned. A payload holds no worker count, so both worker counts must give
-the same bytes. The pins were recorded before the min-cut certificate and the
-block encoder of audit's document, so every later change to a kernel, a
+Small planted partitions and a clique ring, made with `wellconn.gadgets`,
+are treated with `wcc`, `cc` and `cm --clusterer components` at one and two
+workers, for two seeds; each treated clustering is then audited, with its
+per-cluster table, and scored against the planted one. The sha256 of each
+treated file, of each per-cluster table and of the text of each document's
+payload, as written, is pinned. A payload holds no worker count, so both
+worker counts must give the same bytes. The pins are what the exact solver
+alone and json's indented encoder gave, so every change to a kernel, a
 tie-break or the writer must keep them.
 """
 
