@@ -121,6 +121,7 @@ class TestCategories:
             for processes in (2, 4):
                 b = w.connectivity_audit(g, c, threshold, processes=processes)
                 assert a.to_dict() == b.to_dict()
+                assert a == b and a.clusters == list(b.clusters)
 
     def test_cover_mismatch_rejected(self, threshold):
         g = graph_of(3, [(0, 1)])
