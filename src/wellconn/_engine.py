@@ -3,8 +3,16 @@
 `first_split` finds the components of every cluster in one pass over the
 graph. Only the clusters that need more (a cut, a peel, a re-clustering or a
 min cut) go to `map_clusters`, which returns their results in cluster order.
-With one worker, or one cluster, it runs them in this process. Otherwise it
-is a plain fork-join:
+
+The worker count follows the size of the work: one worker per `_SHARE` CSR
+entries of the mapped clusters, at most one per cluster and at most the
+`processes` asked for. So small work runs in this process whatever
+`processes` says, as it does with one worker or one cluster: below the
+cutoff a fork, its copy-on-write faults and the join cost more than a second
+worker saves. The exemption is a cluster's work that starts processes of its
+own (cm with an external re-clusterer), whose cost the entries do not show:
+it gets one worker per cluster up to `processes`, as asked. Otherwise it is
+a plain fork-join:
 
 - Deal. The clusters, largest first, are dealt into one fixed share per
   worker, each to the share with the fewest nodes so far (the lowest share
@@ -45,6 +53,14 @@ from .errors import ContractViolation, TreatmentError
 from .graph import Graph, split_by_label
 
 log = logging.getLogger("wellconn")
+
+# CSR entries of mapped work per worker. A second worker paid for itself,
+# whole process, from about 200k entries on dense clusters with many cuts,
+# and only from about 1.25M on sparse giants; it did not, up to 3.4M, on an
+# audit of many small clusters (CHANGES.md has the table). So two workers
+# start from 2M entries: every perfbench workload (at most 49k) stays in one
+# process, and criterion 10 (9.9M) forks.
+_SHARE = 1 << 20
 
 # how a piece's or a cluster's min-cut question was settled: by its degrees,
 # by the forest certificate, by the solver, or by the solver after a
@@ -158,16 +174,25 @@ def _died(status: int, share: list[int]) -> TreatmentError:
 
 
 def map_clusters(
-    g: Graph, c: Clustering, ids: np.ndarray, fn, args: tuple, processes: int
+    g: Graph,
+    c: Clustering,
+    ids: np.ndarray,
+    fn,
+    args: tuple,
+    processes: int,
+    *,
+    spawns: bool = False,
 ) -> list:
     """Return [fn(g.indptr, g.adj, members, *args) for each cluster of `ids`].
 
     `ids` are ascending cluster indices of `c`, and `members` are each
-    cluster's nodes, ascending. At most one worker per cluster is started. A
-    `TreatmentError` from `fn` is raised again, of the same type, with the
-    index of its cluster in front of the message; of several failures, the
-    one of the lowest cluster index. A worker process that dies ends the call
-    with a `TreatmentError` that names its clusters.
+    cluster's nodes, ascending. It starts at most one worker per cluster
+    and, unless `spawns` says that `fn` starts processes of its own, at most
+    one per `_SHARE` CSR entries of the clusters; one worker runs them in
+    this process. A `TreatmentError` from `fn` is raised again, of the same
+    type, with the index of its cluster in front of the message; of several
+    failures, the one of the lowest cluster index. A worker process that
+    dies ends the call with a `TreatmentError` that names its clusters.
     """
     if processes < 1:
         raise ContractViolation(f"processes must be at least 1, got {processes}")
@@ -176,8 +201,14 @@ def map_clusters(
     nodes = np.flatnonzero(chosen[c.assignment])
     groups = split_by_label(c.assignment[nodes])
     work = {idx: nodes[grp] for idx, grp in zip(ids.tolist(), groups)}
+    entries = int(np.diff(g.indptr)[nodes].sum())
     workers = min(processes, len(work))
-    if workers <= 1:
+    if not spawns:
+        workers = min(workers, entries // _SHARE)
+    workers = max(workers, 1)
+    log.info("mapped %d clusters, %d CSR entries, on %d of %d workers",
+             len(work), entries, workers, processes)
+    if workers == 1:
         return [
             _apply(idx, g.indptr, g.adj, members, fn, args)
             for idx, members in work.items()

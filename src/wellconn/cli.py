@@ -180,6 +180,9 @@ _INPUT_OPTIONS = (
     "components_before", "components_after",
 )
 
+# integer options and their least values, checked before any input is read
+_AT_LEAST = {"num_processors": 1, "mincut_cap": 0}
+
 
 def _manifest(subcommand: str, inputs: dict, options: dict, started: float) -> dict:
     return {
@@ -507,6 +510,12 @@ def _add_common(sub) -> None:
     sub.add_argument("--output", default=None, help="report path (default stdout)")
 
 
+_PROCESSORS_HELP = (
+    "most worker processes for the per-cluster work (default 1); work too "
+    "small to pay for a fork runs in one process whatever this says"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wellconn", description=__doc__)
     parser.add_argument("--version", action="version", version=f"wellconn {__version__}")
@@ -518,7 +527,11 @@ def build_parser() -> argparse.ArgumentParser:
     treat.add_argument("--mode", required=True, choices=("cc", "wcc", "cm"))
     treat.add_argument("--threshold", default="1log10")
     treat.add_argument("--output-file", required=True)
-    treat.add_argument("--num-processors", type=int, default=1)
+    treat.add_argument(
+        "--num-processors", type=int, default=1,
+        help=_PROCESSORS_HELP + ", except under cm with an external re-clusterer, "
+        "which gets one worker per cluster up to this number",
+    )
     treat.add_argument(
         "--clusterer",
         default="identity",
@@ -531,7 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--edgelist", required=True)
     audit.add_argument("--clustering", required=True)
     audit.add_argument("--threshold", default="1log10")
-    audit.add_argument("--num-processors", type=int, default=1)
+    audit.add_argument(
+        "--num-processors", type=int, default=1, help=_PROCESSORS_HELP
+    )
     audit.add_argument("--mincut-cap", type=int, default=None)
     audit.add_argument("--per-cluster-table", default=None)
     _add_common(audit)
@@ -593,6 +608,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         started = time.monotonic()
+        for dest, least in _AT_LEAST.items():
+            value = getattr(args, dest, None)
+            if value is not None and value < least:
+                flag = "--" + dest.replace("_", "-")
+                raise ContractViolation(f"{flag} must be at least {least}, got {value}")
         _setup_logging(args.log_file, args.log_level)
         inputs = {
             role: {

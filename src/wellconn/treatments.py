@@ -357,11 +357,15 @@ def _treat(
     run = np.zeros(c.num_clusters, bool)
     run[owner[may_cut[piece_sizes]]] = True
     disconnected = np.bincount(owner, minlength=len(run)) > 1
-    if not (clusterer is None or clusterer.trivial_on_connected):
+    # the one re-clusterer that is not trivial, the external one, starts a
+    # process per part: a cost the engine cannot count in CSR entries
+    spawns = not (clusterer is None or clusterer.trivial_on_connected)
+    if spawns:
         run |= disconnected
     ids = np.flatnonzero(run)
     results = map_clusters(
-        g, c, ids, _process_cluster, (piece, t, clusterer, g.labels), processes
+        g, c, ids, _process_cluster, (piece, t, clusterer, g.labels), processes,
+        spawns=spawns,
     )
     trace = TreatmentTrace(
         clusters_in=len(run),

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import wellconn as w
+from wellconn import _engine
 
 
 def wellconn_env() -> dict[str, str]:
@@ -275,3 +276,36 @@ def all_partitions(items):
 @pytest.fixture
 def threshold() -> w.ThresholdSpec:
     return w.ThresholdSpec.parse("1log10")
+
+
+# ---------------------------------------------------------------------------
+# the fork-join path
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """The pids of the worker processes forked from here on, as a live list."""
+    fork = os.fork
+    started: list[int] = []
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return started
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list[int]:
+    """Work of any size forks at two workers or more; the pids of the forks.
+
+    `map_clusters` keeps work of fewer than `_SHARE` CSR entries per worker
+    in one process, which would put every small input on the serial path.
+    The test fails if it forked no worker.
+    """
+    monkeypatch.setattr(_engine, "_SHARE", 1)
+    started = count_forks(monkeypatch)
+    yield started
+    assert started, "no worker process was forked"

@@ -108,15 +108,22 @@ class TestCategories:
             report = w.connectivity_audit(g, w.cc_treatment(g, c), threshold)
             assert report.counts["disconnected"] == 0
 
-    def test_parallel_matches_serial(self, threshold):
+    def test_parallel_matches_serial(self, threshold, forks):
         rng = random.Random(5)
         g = random_graph_any(rng, 100, 0.08)
-        # the second input has fewer clusters than workers
+        # the second input has fewer clusters than workers; in the first two
+        # every cluster is settled by its degrees, and in the third, dense
+        # blocks, none is
+        dense, blocks = w.generate(w.GadgetSpec(
+            kind="planted-partition-lite", sizes=(30,) * 6, p_in=0.3, p_out=0.01,
+            seed=5,
+        ))
         inputs = [
-            random_clustering(rng, g.n, kmax=9),
-            w.Clustering.from_assignment(np.arange(g.n) % 3),
+            (g, random_clustering(rng, g.n, kmax=9)),
+            (g, w.Clustering.from_assignment(np.arange(g.n) % 3)),
+            (dense, blocks),
         ]
-        for c in inputs:
+        for g, c in inputs:
             a = w.connectivity_audit(g, c, threshold, processes=1)
             for processes in (2, 4):
                 b = w.connectivity_audit(g, c, threshold, processes=processes)
@@ -222,7 +229,7 @@ class TestDegreeCertificate:
         g = graph_of(offset, edges)
         return g, w.Clustering.from_assignment(np.repeat(np.arange(6), sizes))
 
-    def test_solver_runs_only_on_uncertified_clusters(self, threshold, monkeypatch):
+    def test_solver_runs_only_on_uncertified_clusters(self, threshold, monkeypatch, forks):
         g, c = self.mixed()
         calls = solver_calls(monkeypatch)
         report = w.connectivity_audit(g, c, threshold)

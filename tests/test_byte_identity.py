@@ -6,7 +6,8 @@ workers, for two seeds; each treated clustering is then audited, with its
 per-cluster table, and scored against the planted one. The sha256 of each
 treated file, of each per-cluster table and of the text of each document's
 payload, as written, is pinned. A payload holds no worker count, so both
-worker counts must give the same bytes. The pins are what the exact solver
+worker counts must give the same bytes; the `forks` fixture makes the
+two-worker runs fork, though inputs this small would run in one process. The pins are what the exact solver
 alone and json's indented encoder gave, so every change to a kernel, a
 tie-break or the writer must keep them.
 """
@@ -173,7 +174,7 @@ def outputs(directory, seed: int, mode: str, workers: int) -> dict[str, str]:
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("mode", sorted(MODES))
-def test_outputs_pinned(tmp_path, seed, mode):
+def test_outputs_pinned(tmp_path, seed, mode, forks):
     for workers in (1, 2):
         got = outputs(tmp_path, seed, mode, workers)
         assert got == PINNED[f"{mode}-{seed}"], f"{workers} worker(s)"

@@ -265,6 +265,7 @@ class TestTreat:
     "sizes-not-a-number", "negative-seed", "edgelist-is-directory",
     "edgelist-not-utf8", "components-not-json", "components-term-not-a-number",
     "threshold-too-large", "size-count-too-large", "size-too-large",
+    "num-processors-zero", "num-processors-negative", "mincut-cap-negative",
 ])
 def test_bad_input_exit_1_without_traceback(tmp_path, capsys, case):
     (tmp_path / "c.tsv").write_text("a\tx\nb\tx\n")
@@ -277,6 +278,14 @@ def test_bad_input_exit_1_without_traceback(tmp_path, capsys, case):
     w.save_components(w.DLComponents(1, 1, 1, 1), tmp_path / "after.json")
     gen = ["generate", "--edgelist-out", tmp_path / "n.tsv",
            "--clustering-out", tmp_path / "g.tsv"]
+    # inputs that do not exist: a bad count must be named before any is read
+    missing = ["audit", "--edgelist", tmp_path / "none.tsv",
+               "--clustering", tmp_path / "none.tsv"]
+    named = {
+        "num-processors-zero": "--num-processors must be at least 1, got 0",
+        "num-processors-negative": "--num-processors must be at least 1, got -1",
+        "mincut-cap-negative": "--mincut-cap must be at least 0, got -1",
+    }
     argv = {
         "sizes-not-a-number": gen + ["--kind", "planted-partition-lite", "--sizes", "abc"],
         "size-count-too-large": gen + ["--kind", "planted-partition-lite",
@@ -296,12 +305,17 @@ def test_bad_input_exit_1_without_traceback(tmp_path, capsys, case):
         "components-term-not-a-number": [
             "dl", "--components-before", tmp_path / "nan.json",
             "--components-after", tmp_path / "after.json"],
+        "num-processors-zero": missing + ["--num-processors", "0"],
+        "num-processors-negative": missing + ["--num-processors", "-1"],
+        "mincut-cap-negative": missing + ["--mincut-cap", "-1"],
     }[case]
     capsys.readouterr()
     assert run(argv + ["--output", tmp_path / "out.json"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("wellconn: error:")
     assert "Traceback" not in err
+    if case in named:
+        assert err == f"wellconn: error: {named[case]}\n"
     assert not (tmp_path / "out.json").exists()
 
 
@@ -355,7 +369,7 @@ class TestAudit:
         assert run(["audit", "--edgelist", edgelist, "--clustering", planted,
                     "--mincut-cap", "-1", "--output", report_path]) == 1
         assert capsys.readouterr().err == (
-            "wellconn: error: mincut size cap must be >= 0, got -1\n"
+            "wellconn: error: --mincut-cap must be at least 0, got -1\n"
         )
         assert not report_path.exists()
 

@@ -1,6 +1,7 @@
 """CC, WCC, and CM treatments: examples, invariants, reference equivalence."""
 
 import hashlib
+import logging
 import os
 import random
 import sys
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 
 import wellconn as w
-from wellconn import treatments
+from wellconn import _engine, treatments
 from wellconn.cli import main
 from conftest import (
     assert_valid_partition,
     clique_edges,
+    count_forks,
     graph_of,
     random_clustering,
     random_graph_any,
@@ -190,7 +192,7 @@ class TestWCC:
             out, _ = w.wcc_treatment(g, c, t)
             assert out == w.cc_treatment(g, c)
 
-    def test_parallel_matches_serial(self, threshold):
+    def test_parallel_matches_serial(self, threshold, forks):
         rng = random.Random(99)
         g = random_graph_any(rng, 120, 0.08)
         # the second input has fewer clusters than workers; the third is so
@@ -212,20 +214,29 @@ class TestWCC:
                 assert w.wcc_treatment(g, c, threshold, processes=processes) == serial
             assert w.cc_treatment_with_trace(g, c, processes=2) == serial_cc
 
-    def test_workers_capped_at_cluster_count(self, threshold, monkeypatch):
-        fork = os.fork
-        started = []
-
-        def counting_fork():
-            started.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
+    def test_workers_capped_at_cluster_count(self, threshold, forks, caplog):
         g = two_cliques(10, bridges=1)
         c = w.Clustering.from_assignment(np.repeat([0, 1], 10))
         serial = w.wcc_treatment(g, c, threshold)
-        assert w.wcc_treatment(g, c, threshold, processes=8) == serial
-        assert len(started) == 2
+        with caplog.at_level(logging.INFO, logger="wellconn"):
+            assert w.wcc_treatment(g, c, threshold, processes=8) == serial
+        assert len(forks) == 2
+        # each clique's 90 entries and the bridge's two
+        assert "mapped 2 clusters, 182 CSR entries, on 2 of 8 workers" in caplog.text
+
+    def test_small_work_forks_no_worker(self, threshold, monkeypatch):
+        # four clusters that split into hundreds of pieces, far below one
+        # share of CSR entries: eight workers asked, none forked
+        started = count_forks(monkeypatch)
+        g, truth = w.generate(w.GadgetSpec(
+            kind="planted-partition-lite", sizes=(300, 300, 300, 300),
+            p_in=0.008, p_out=0.0005, seed=5,
+        ))
+        serial = w.wcc_treatment(g, truth, threshold)
+        assert w.wcc_treatment(g, truth, threshold, processes=8) == serial
+        report = w.connectivity_audit(g, truth, threshold)
+        assert w.connectivity_audit(g, truth, threshold, processes=8) == report
+        assert started == []
 
     def test_treated_file_pinned(self, tmp_path):
         # each input cluster is two planted blocks sharing few edges; the run
@@ -524,3 +535,28 @@ class TestTraces:
         assert trace.cuts_performed == 1
         assert trace.components_splits == 0
         assert trace.max_recursion_depth >= 1
+
+
+def entries_of(indptr, adj, members):
+    return int((indptr[members + 1] - indptr[members]).sum())
+
+
+def cycle(n: int) -> w.Graph:
+    """The cycle on n nodes, built as its CSR: 2n entries."""
+    nodes = np.arange(n)
+    adj = np.sort(np.stack([(nodes - 1) % n, (nodes + 1) % n], axis=1), axis=1)
+    return w.Graph(np.arange(0, 2 * n + 1, 2), adj.ravel(), [str(v) for v in range(n)])
+
+
+def test_workers_follow_the_entries(monkeypatch):
+    # eight clusters of a cycle with just under and just over two shares of
+    # CSR entries: one worker, then two, of the two asked
+    started = count_forks(monkeypatch)
+    for n, workers in ((_engine._SHARE - 1, 0), (_engine._SHARE + 1, 2)):
+        g = cycle(n)
+        c = w.Clustering.from_assignment(np.arange(n) * 8 // n)
+        ids = np.arange(8)
+        serial = _engine.map_clusters(g, c, ids, entries_of, (), 1)
+        assert sum(serial) == 2 * n
+        assert _engine.map_clusters(g, c, ids, entries_of, (), 2) == serial
+        assert len(started) == workers
