@@ -18,7 +18,7 @@ are held as columns. The report does not depend on the worker count.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ from .graph import Graph
 CATEGORIES = ("well", "poor", "disconnected", "singleton", "skipped")
 
 
-@dataclass(frozen=True)
-class ClusterAudit:
+class ClusterAudit(NamedTuple):
     """Connectivity verdict for one cluster."""
 
     cluster_id: int
@@ -57,15 +56,7 @@ class ClusterAudit:
     at_boundary: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "cluster_id": self.cluster_id,
-            "size": self.size,
-            "connected": self.connected,
-            "min_cut": self.min_cut,
-            "category": self.category,
-            "threshold_bound": self.threshold_bound,
-            "at_boundary": self.at_boundary,
-        }
+        return self._asdict()
 
 
 class ClusterAudits(Sequence):
@@ -100,11 +91,10 @@ class ClusterAudits(Sequence):
         return [dict(zip(_FIELDS, row)) for row in self.rows()]
 
 
-_FIELDS = tuple(f.name for f in fields(ClusterAudit))
+_FIELDS = ClusterAudit._fields
 
 
-@dataclass
-class ConnectivityReport:
+class ConnectivityReport(NamedTuple):
     """Per-cluster verdicts plus the aggregate quantities of a run."""
 
     graph_nodes: int
@@ -130,7 +120,7 @@ class ConnectivityReport:
             "counts": dict(self.counts),
             "proportions": dict(self.proportions),
             "node_coverage": self.node_coverage,
-            "cluster_stats": asdict(self.stats),
+            "cluster_stats": self.stats._asdict(),
             "clusters": self.clusters.to_dicts(),
         }
 
@@ -228,16 +218,15 @@ def connectivity_audit(
     )
 
 
-@dataclass(frozen=True)
-class AuditDelta:
+class AuditDelta(NamedTuple):
     """Differences (after - before) of the aggregate audit quantities."""
 
     node_coverage: float
     non_singleton_count: int
     median_nonsingleton_size: float | None
     max_nonsingleton_size: int
-    proportions: dict[str, float] = field(hash=False)
-    counts: dict[str, int] = field(hash=False)
+    proportions: dict[str, float]
+    counts: dict[str, int]
 
 
 def audit_delta(before: ConnectivityReport, after: ConnectivityReport) -> AuditDelta:

@@ -8,9 +8,8 @@ input files and to processing order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
@@ -93,8 +92,12 @@ class Clustering:
         return int(np.count_nonzero(self.sizes() == 1))
 
 
-@dataclass(frozen=True)
-class ThresholdSpec:
+class _Threshold(NamedTuple):
+    kind: str
+    coefficient: float = 1.0
+
+
+class ThresholdSpec(_Threshold):
     """The bound f(n) a cluster's min cut must strictly exceed.
 
     kinds: "log10-multiple" (f(n) = coefficient * log10(n)), "constant"
@@ -102,19 +105,26 @@ class ThresholdSpec:
     only requirement).
     """
 
-    kind: str
-    coefficient: float = 1.0
+    __slots__ = ()
 
     KINDS = ("log10-multiple", "constant", "connectivity-only")
 
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ContractViolation(f"unknown threshold kind: {self.kind!r}")
-        if not math.isfinite(self.coefficient) or self.coefficient < 0:
+    # a NamedTuple may not define __new__ in its own body, so the fields sit
+    # in a base and the checks here
+    def __new__(cls, kind: str, coefficient: float = 1.0):
+        if kind not in cls.KINDS:
+            raise ContractViolation(f"unknown threshold kind: {kind!r}")
+        if not math.isfinite(coefficient) or coefficient < 0:
             raise ContractViolation(
                 "threshold coefficient must be finite and nonnegative, "
-                f"got {self.coefficient}"
+                f"got {coefficient}"
             )
+        return super().__new__(cls, kind, coefficient)
+
+    # the base's _make, which _replace calls, would skip the checks
+    @classmethod
+    def _make(cls, iterable) -> "ThresholdSpec":
+        return cls(*iterable)
 
     def value(self, size: int) -> float:
         """The bound f(size) for a cluster of the given current size."""
@@ -167,8 +177,7 @@ def is_well_connected(cut_value: int, cluster_size: int, t: ThresholdSpec) -> bo
     return cut_value > t.value(cluster_size)
 
 
-@dataclass(frozen=True)
-class ClusterStats:
+class ClusterStats(NamedTuple):
     """Size statistics over non-singleton clusters plus node coverage."""
 
     non_singleton_count: int
@@ -210,8 +219,7 @@ def is_refinement(fine: Clustering, coarse: Clustering) -> bool:
     return bool(np.array_equal(target[fine.assignment], coarse.assignment))
 
 
-@dataclass
-class ClusteringLoadResult:
+class ClusteringLoadResult(NamedTuple):
     """A loaded clustering plus the graph it ended up covering.
 
     Labels present in the file but absent from the graph are admitted as

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, NamedTuple
 
 from .clustering import Clustering
 from .errors import ContractViolation, UnitMismatch
@@ -24,8 +23,15 @@ from .graph import Graph, write_lines
 COMPONENT_NAMES = ("adjacency", "degrees", "partition", "edge_counts")
 
 
-@dataclass(frozen=True)
-class DLComponents:
+class _Components(NamedTuple):
+    adjacency: float
+    degrees: float
+    partition: float
+    edge_counts: float
+    unit: str = "nats"
+
+
+class DLComponents(_Components):
     """The four description-length terms for one (network, clustering) pair.
 
     Values are negative log-probabilities, so all terms are nonnegative.
@@ -33,19 +39,23 @@ class DLComponents:
     mixing incompatible values.
     """
 
-    adjacency: float
-    degrees: float
-    partition: float
-    edge_counts: float
-    unit: str = "nats"
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in COMPONENT_NAMES:
-            value = getattr(self, name)
+    # a NamedTuple may not define __new__ in its own body, so the fields sit
+    # in a base and the checks here
+    def __new__(cls, adjacency, degrees, partition, edge_counts, unit="nats"):
+        terms = (adjacency, degrees, partition, edge_counts)
+        for name, value in zip(COMPONENT_NAMES, terms):
             if not math.isfinite(value):
                 raise ContractViolation(f"component {name} must be finite")
             if value < 0:
                 raise ContractViolation(f"component {name} must be nonnegative")
+        return super().__new__(cls, *terms, unit)
+
+    # the base's _make, which _replace calls, would skip the checks
+    @classmethod
+    def _make(cls, iterable) -> "DLComponents":
+        return cls(*iterable)
 
     def total(self) -> float:
         return self.adjacency + self.degrees + self.partition + self.edge_counts
@@ -56,8 +66,7 @@ def compose_dl(components: DLComponents) -> float:
     return components.total()
 
 
-@dataclass(frozen=True)
-class DLDiffReport:
+class DLDiffReport(NamedTuple):
     """Per-term and total differences (treated - untreated) plus preferences.
 
     `preference` names the side with the lower total; `preference_without_pe`

@@ -13,7 +13,7 @@ the planted partition with one block.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .graph import Graph
 _DENSE_SAMPLING_LIMIT = 2048
 
 
-@dataclass(frozen=True)
-class GadgetSpec:
+class GadgetSpec(NamedTuple):
     """Recipe for one synthetic network.
 
     kinds and parameters:
@@ -40,7 +39,7 @@ class GadgetSpec:
     num_cliques: int = 0
     clique_size: int = 0
     bridges: int = 0
-    sizes: tuple[int, ...] = field(default=())
+    sizes: tuple[int, ...] = ()
     p_in: float = 0.0
     p_out: float = 0.0
     n: int = 0

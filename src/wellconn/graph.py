@@ -11,10 +11,9 @@ from __future__ import annotations
 import hashlib
 import io
 from collections import Counter
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -23,8 +22,7 @@ from . import _kernels
 from .errors import ContractViolation, EdgelistParseError
 
 
-@dataclass(frozen=True)
-class IngestReport:
+class IngestReport(NamedTuple):
     """Counters describing one edgelist load."""
 
     lines_read: int

@@ -14,8 +14,8 @@ where it is negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ NMI_NORMALIZATION = "arithmetic-mean"
 EXACT_TABLE_COUNT_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
+class ContingencyTable(NamedTuple):
     """Sparse pairwise counts between two clusterings of the same universe."""
 
     n: int

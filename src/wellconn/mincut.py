@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -13,8 +13,7 @@ from .graph import Graph
 BRUTE_FORCE_MAX_NODES = 16
 
 
-@dataclass(frozen=True, eq=False)
-class CutResult:
+class CutResult(NamedTuple):
     """A global minimum cut: its size and a witnessing bipartition.
 
     `side` is a per-node boolean mask; True marks side A, which always
@@ -23,7 +22,7 @@ class CutResult:
     """
 
     value: int
-    side: np.ndarray = field(repr=False)
+    side: np.ndarray
 
     def side_a(self) -> np.ndarray:
         return np.flatnonzero(self.side).astype(np.int64)
@@ -35,6 +34,14 @@ class CutResult:
         if not isinstance(other, CutResult):
             return NotImplemented
         return self.value == other.value and np.array_equal(self.side, other.side)
+
+    # tuple's own != would compare the masks element by element
+    def __ne__(self, other) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __repr__(self) -> str:
+        return f"CutResult(value={self.value!r})"
 
 
 def _check_connected(g: Graph, caller: str) -> None:

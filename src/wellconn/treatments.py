@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ from .graph import Graph, split_by_label, write_edgelist
 log = logging.getLogger("wellconn")
 
 
-@dataclass
-class TreatmentTrace:
+class TreatmentTrace(NamedTuple):
     """Counters describing one treatment run."""
 
     cuts_performed: int = 0
@@ -367,11 +366,9 @@ def _treat(
         g, c, ids, _process_cluster, (piece, t, clusterer, g.labels), processes,
         spawns=spawns,
     )
-    trace = TreatmentTrace(
-        clusters_in=len(run),
-        components_splits=int(np.count_nonzero(disconnected)),
-        max_recursion_depth=int(disconnected.any()),
-    )
+    cuts_performed = 0
+    components_splits = int(np.count_nonzero(disconnected))
+    max_recursion_depth = int(disconnected.any())
     assignment = piece
     next_id = len(owner)
     settled = [0, 0, 0, 0]
@@ -381,13 +378,16 @@ def _treat(
         settled = [a + b for a, b in zip(settled, how)]
         assignment[members] = np.repeat(np.arange(next_id, next_id + len(sizes)), sizes)
         next_id += len(sizes)
-        trace.cuts_performed += cuts
-        trace.components_splits += comp_splits
-        trace.max_recursion_depth = max(trace.max_recursion_depth, maxdepth)
+        cuts_performed += cuts
+        components_splits += comp_splits
+        max_recursion_depth = max(max_recursion_depth, maxdepth)
         log.debug("cluster %d: %d nodes -> %d pieces (%d cuts, %d later component "
                   "splits)", idx, len(members), len(sizes), cuts, comp_splits)
     treated = Clustering.from_assignment(assignment)
-    trace.clusters_out = treated.num_clusters
+    trace = TreatmentTrace(
+        cuts_performed, components_splits, max_recursion_depth, len(run),
+        treated.num_clusters,
+    )
     log_settled("treatment pieces", settled)
     log.info("treatment: %d clusters in, %d out, %d cuts, %d component splits",
              trace.clusters_in, trace.clusters_out, trace.cuts_performed,

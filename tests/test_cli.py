@@ -61,6 +61,21 @@ class TestTreat:
         assert sidecar["payload"]["trace"]["cuts_performed"] == 1
         assert sidecar["payload"]["clusters_out"] == 2
 
+    def test_record_blocks_keep_their_keys(self, tmp_path, gadget_files):
+        g, edgelist, planted, whole = gadget_files
+        out = tmp_path / "out.tsv"
+        assert run(["treat", "--edgelist", edgelist, "--existing-clustering", whole,
+                    "--mode", "wcc", "--output-file", out]) == 0
+        payload = payload_of(tmp_path / "out.tsv.run.json")
+        assert payload["ingest"] == {
+            "lines_read": 91, "self_loops_dropped": 0, "duplicate_edges_dropped": 0,
+            "nodes": 20, "edges": 91,
+        }
+        assert payload["trace"] == {
+            "cuts_performed": 1, "components_splits": 0, "max_recursion_depth": 1,
+            "clusters_in": 1, "clusters_out": 2,
+        }
+
     def test_wcc_idempotent_byte_identical(self, tmp_path, gadget_files):
         g, edgelist, planted, _ = gadget_files
         out = tmp_path / "out.tsv"
@@ -624,6 +639,21 @@ class TestStats:
         payload = payload_of(out)
         assert payload["node_coverage"] == 70.0
         assert payload["max_nonsingleton_size"] == 4
+
+    def test_cluster_stats_fields_pinned(self, tmp_path, gadget_files):
+        g, edgelist, planted, whole = gadget_files
+        stats, audit = tmp_path / "stats.json", tmp_path / "audit.json"
+        assert run(["stats", "--clustering", planted, "--output", stats]) == 0
+        assert run(["audit", "--edgelist", edgelist, "--clustering", planted,
+                    "--output", audit]) == 0
+        fields = {
+            "non_singleton_count": 2, "median_nonsingleton_size": 10.0,
+            "max_nonsingleton_size": 10, "node_coverage": 100.0,
+        }
+        assert payload_of(stats) == {
+            "nodes": 20, "clusters": 2, "singletons": 0, **fields,
+        }
+        assert payload_of(audit)["cluster_stats"] == fields
 
     def test_with_edgelist_missing_nodes(self, tmp_path, gadget_files):
         g, edgelist, planted, whole = gadget_files

@@ -135,6 +135,34 @@ class TestThreshold:
         for text in ("1log10", "0log10", "2.5log10", "3", "connectivity"):
             assert str(w.ThresholdSpec.parse(text)) == text
 
+    @pytest.mark.parametrize("args", [
+        ("log10",), ("unknown", 1.0), ("constant", -1.0), ("constant", float("nan")),
+        ("log10-multiple", float("inf")), ("log10-multiple", -0.5),
+    ])
+    def test_constructor_rejects_what_parse_rejects(self, args):
+        with pytest.raises(w.ContractViolation):
+            w.ThresholdSpec(*args)
+        with pytest.raises(w.ContractViolation):
+            w.ThresholdSpec._make(args)
+        spec = w.ThresholdSpec("constant", 1.0)
+        with pytest.raises(w.ContractViolation):
+            spec._replace(**dict(zip(spec._fields, args)))
+
+    def test_constructor_forms_and_defaults(self):
+        spec = w.ThresholdSpec(kind="constant", coefficient=3.0)
+        assert spec == w.ThresholdSpec("constant", 3.0) == w.ThresholdSpec.parse("3")
+        assert w.ThresholdSpec("log10-multiple") == w.DEFAULT_THRESHOLD
+        assert repr(spec) == "ThresholdSpec(kind='constant', coefficient=3.0)"
+
+    def test_immutable_and_hashed_by_value(self):
+        spec = w.ThresholdSpec.parse("2.5log10")
+        for attr in ("kind", "coefficient", "KINDS", "other"):
+            with pytest.raises(AttributeError):
+                setattr(spec, attr, None)
+        same = w.ThresholdSpec("log10-multiple", 2.5)
+        assert same == spec and hash(same) == hash(spec)
+        assert len({spec, same, w.ThresholdSpec.parse("3")}) == 2
+
     def test_well_connected_strict_boundary(self, threshold):
         assert not w.is_well_connected(1, 10, threshold)  # 1 is not > log10(10)
         assert w.is_well_connected(2, 10, threshold)

@@ -99,6 +99,10 @@ class TestCompose:
     def test_negative_component_rejected(self):
         with pytest.raises(w.ContractViolation):
             w.DLComponents(-1, 0, 0, 0)
+        with pytest.raises(w.ContractViolation):
+            w.DLComponents._make((0, 0, 0, float("nan")))
+        with pytest.raises(w.ContractViolation):
+            w.DLComponents(1, 1, 1, 1)._replace(degrees=-2.0)
 
 
 class TestDiff:

@@ -1,7 +1,6 @@
 """Bulk ingest and the packed join against the per-line loop and the dict path,
 and ingest, the join and the writer pinned on a 40k-node instance."""
 
-import dataclasses
 import hashlib
 import io
 import os
@@ -175,7 +174,7 @@ class TestPinnedIngest:
         assert g.digest() == (
             "321c3b439a23b726aea22e1156c3e3a49544fa413d94a7aac515eb5291bfe3a3"
         )
-        assert dataclasses.astuple(rep) == (13379, 0, 0, 16427, 13379)
+        assert tuple(rep) == (13379, 0, 0, 16427, 13379)
 
     def test_edgelist_with_reversed_repeated_and_loop_lines(self, pinned_files):
         # every third line reversed, every seventh repeated reversed, and
@@ -192,7 +191,7 @@ class TestPinnedIngest:
         assert g.digest() == (
             "085ee946af0b68b61074fb2055fb86b7be901a33df980452f125e2605f156d9d"
         )
-        assert dataclasses.astuple(rep) == (16508, 1217, 1912, 16427, 13379)
+        assert tuple(rep) == (16508, 1217, 1912, 16427, 13379)
 
     def test_membership(self, pinned_files):
         membership = w.read_membership(pinned_files[1])

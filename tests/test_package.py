@@ -42,6 +42,9 @@ UNUSED_BY_TREAT_AUDIT_EVAL = (
     "numpy.ma", "fractions", "decimal",
 )
 
+# modules that some command loads and others must not
+PER_COMMAND = ("wellconn.audit", "wellconn.metrics", "dataclasses")
+
 
 def caller_env(**extra: str) -> dict[str, str]:
     """`wellconn_env()` without OPENBLAS_NUM_THREADS or PYTHONUNBUFFERED, plus `extra`.
@@ -149,6 +152,32 @@ def test_treat_audit_eval_leave_unused_modules_unloaded(tmp_path, planted_files)
     )
     assert json.loads(out) == [[0, 0, 0, 0], []]
     assert json.loads((tmp_path / "eval.json").read_text())["payload"]["scores"]
+
+
+def test_each_command_loads_only_its_own_modules(tmp_path, planted_files):
+    net, truth_file = planted_files
+    wcc = tmp_path / "wcc.tsv"
+    runs = [
+        ([], []),
+        (["treat", "--edgelist", net, "--existing-clustering", truth_file,
+          "--mode", "wcc", "--output-file", wcc], []),
+        (["treat", "--edgelist", net, "--existing-clustering", truth_file,
+          "--mode", "cc", "--output-file", tmp_path / "cc.tsv"], []),
+        (["audit", "--edgelist", net, "--clustering", wcc,
+          "--output", tmp_path / "audit.json"], ["wellconn.audit"]),
+        (["eval", "--ground-truth", truth_file, "--estimated", wcc, "--edgelist", net,
+          "--output", tmp_path / "eval.json"], ["wellconn.metrics"]),
+    ]
+    for argv, expected in runs:
+        out = fresh_python(
+            "import json, sys\n"
+            "from wellconn.cli import main\n"
+            "code = main(sys.argv[2:]) if sys.argv[2:] else 0\n"
+            "loaded = set(json.loads(sys.argv[1])) & set(sys.modules)\n"
+            "print(json.dumps([code, sorted(loaded)]))\n",
+            json.dumps(PER_COMMAND), *map(str, argv),
+        )
+        assert json.loads(out) == [0, expected], argv
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
