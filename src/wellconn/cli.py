@@ -364,8 +364,9 @@ def _universe_for_eval(args):
             truth_map = {lab: truth_map[lab] for lab in keep}
             est_map = {lab: est_map[lab] for lab in keep}
         graph = admit(graph, truth_map, est_map)
-        truth = clustering_from_membership(truth_map, graph.labels)
-        est = clustering_from_membership(est_map, graph.labels)
+        labels = graph.labels
+        truth = clustering_from_membership(truth_map, labels)
+        est = clustering_from_membership(est_map, labels)
         dropped = sizes[0] - len(truth_map), sizes[1] - len(est_map)
     if graph.n == 0:
         raise ContractViolation("evaluation universe is empty")

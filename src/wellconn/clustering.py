@@ -17,12 +17,17 @@ from . import _kernels
 from .errors import ClusteringParseError, ContractViolation, UniverseMismatch
 from .graph import (
     Graph,
-    _key_labels,
-    _label_keys,
+    _digits,
+    _key_bytes,
+    _keys_text,
+    _labels_text,
     _line_pairs,
+    _lines,
     _read_input,
+    _text_keys,
     _token_keys,
     _two_columns,
+    _write_blocks,
     split_by_label,
     write_lines,
 )
@@ -282,7 +287,7 @@ def admit(g: Graph, *memberships: dict[str, str]) -> Graph:
     extra = dict.fromkeys(lab for m in memberships for lab in m)
     for lab in g.labels:
         extra.pop(lab, None)
-    return g._extended(list(extra))
+    return g._extended(_labels_text(list(extra)))
 
 
 def clustering_from_membership(
@@ -319,7 +324,7 @@ def join_memberships(
     which alone raises the parse errors, each file's before the next is read.
     Both paths give the same result.
     """
-    graph_keys = _label_keys(g.labels)
+    graph_keys = _text_keys(g.text)
     if graph_keys is not None:
         # the graph's keys ascending, searched for in ascending order below
         graph_order = np.argsort(graph_keys)
@@ -386,7 +391,7 @@ def _packed_join(
     extra_ids, extra = _kernels.first_appearance_ids(
         np.concatenate([unknown for _, unknown, _, _ in packed])
     )
-    graph = g._extended(_key_labels(extra))
+    graph = g._extended(_keys_text(extra))
     added = np.arange(g.n, graph.n, dtype=np.uint64)
     clusterings = []
     for node_keys, unknown, tokens, _ in packed:
@@ -422,11 +427,14 @@ def write_clustering(c: Clustering, g: Graph, target: str | Path | IO) -> None:
         raise UniverseMismatch(
             f"clustering covers {c.n} nodes but graph has {g.n}"
         )
-    labels = g.labels
-    ids = c.assignment.tolist()
-    keys = _label_keys(labels)
+    keys = _text_keys(g.text)
     if keys is None:
+        labels = g.labels
+        ids = c.assignment.tolist()
         order = sorted(range(g.n), key=labels.__getitem__)
-    else:  # packed keys sort as the label bytes do
-        order = np.argsort(keys).tolist()
-    write_lines(target, (f"{labels[v]}\t{ids[v]}\n" for v in order))
+        write_lines(target, (f"{labels[v]}\t{ids[v]}\n" for v in order))
+        return
+    order = np.argsort(keys)  # packed keys sort as the label bytes do
+    _write_blocks(target, g.n, lambda rows: _lines(
+        _key_bytes(keys[order[rows]]), b"\t", _digits(c.assignment[order[rows]]), b"\n"
+    ))

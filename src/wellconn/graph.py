@@ -13,7 +13,7 @@ import io
 from collections import Counter
 from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -33,14 +33,24 @@ class IngestReport(NamedTuple):
 
 
 class Graph:
-    """Simple undirected graph, immutable: its CSR and one distinct label per node."""
+    """Simple undirected graph, immutable: its CSR and one distinct label per node.
 
-    __slots__ = ("indptr", "adj", "labels")
+    The labels are held as `text`: their UTF-8 bytes, each label followed by
+    LF. The list of labels is derived from it on each read of `labels`.
+    """
 
-    def __init__(self, indptr: np.ndarray, adj: np.ndarray, labels: list[str]):
+    __slots__ = ("indptr", "adj", "text")
+
+    def __init__(self, indptr: np.ndarray, adj: np.ndarray, labels: list[str] | bytes):
+        """`labels` is a list of labels, or bytes that are already a graph's `text`."""
         self.indptr = indptr
         self.adj = adj
-        self.labels = labels
+        self.text = labels if isinstance(labels, bytes) else _labels_text(labels)
+
+    @property
+    def labels(self) -> list[str]:
+        """The label of each node, decoded from `text` on each read."""
+        return self.text.decode("utf-8").split("\n")[:-1]
 
     @property
     def n(self) -> int:
@@ -67,8 +77,7 @@ class Graph:
         """Structure fingerprint (labels plus adjacency), hex sha256."""
         h = hashlib.sha256()
         h.update(b"graph/v1\n")
-        # every label followed by a newline, in one update
-        h.update("\n".join([*self.labels, ""]).encode("utf-8"))
+        h.update(self.text)
         h.update(np.ascontiguousarray(self.indptr).tobytes())
         h.update(np.ascontiguousarray(self.adj).tobytes())
         return h.hexdigest()
@@ -79,16 +88,16 @@ class Graph:
             present = _unique(extra_labels).intersection(self.labels)
             if present:
                 raise ContractViolation(f"label already present: {min(present)!r}")
-        return self._extended(extra_labels)
+        return self._extended(_labels_text(extra_labels))
 
-    def _extended(self, extra_labels: list[str]) -> "Graph":
-        """`with_isolated` for labels known to be distinct and absent from this graph."""
-        if not extra_labels:
+    def _extended(self, extra_text: bytes) -> "Graph":
+        """`with_isolated` for the `text` of labels known to be distinct and absent here."""
+        if not extra_text:
             return self
         indptr = np.concatenate(
-            [self.indptr, np.full(len(extra_labels), self.indptr[-1], np.int64)]
+            [self.indptr, np.full(extra_text.count(b"\n"), self.indptr[-1], np.int64)]
         )
-        return Graph(indptr, self.adj, self.labels + list(extra_labels))
+        return Graph(indptr, self.adj, self.text + extra_text)
 
     @classmethod
     def from_edges(
@@ -111,6 +120,17 @@ class Graph:
         elif len(_unique(labels)) != num_nodes:
             raise ContractViolation("label count does not match node count")
         return cls(indptr, adj, list(labels))
+
+
+def _labels_text(labels: list[str]) -> bytes:
+    """A graph's `text` for `labels`; a label that holds LF raises ContractViolation."""
+    if not labels:
+        return b""
+    text = "\n".join(labels)
+    if text.count("\n") != len(labels) - 1:
+        lab = next(lab for lab in labels if "\n" in lab)
+        raise ContractViolation(f"label holds a line feed: {lab!r}")
+    return (text + "\n").encode("utf-8")
 
 
 def _unique(labels: list[str]) -> set[str]:
@@ -223,7 +243,8 @@ def _two_columns(data: bytes | str) -> tuple[np.ndarray, np.ndarray] | None:
     return buf, ends
 
 
-# tokens per block in _token_keys: 512 KB per 8-byte scratch array
+# tokens or lines per block in the bulk packers and writers: 512 KB per
+# 8-byte scratch array
 _PACK_BLOCK = 65536
 
 
@@ -234,9 +255,35 @@ def _token_keys(data: bytes | str) -> np.ndarray | None:
     8 bytes. Distinct tokens get distinct keys, as no token holds a zero byte.
     """
     shape = _two_columns(data)
-    if shape is None:
+    return None if shape is None else _gather_keys(*shape)
+
+
+def _text_keys(text: bytes) -> np.ndarray | None:
+    """Each label of a graph's `text` as the uint64 key `_token_keys` gives it.
+
+    None unless every label packs: 1-8 bytes of printable ASCII (0x21-0x7E).
+    The keys compare as the labels' bytes do.
+    """
+    buf = np.frombuffer(text, np.uint8)
+    if buf.size == 0:
+        return np.empty(0, np.uint64)
+    ends = np.flatnonzero(buf == 0x0A)
+    # every byte below 0x21 is a label's LF, and no label is empty
+    if (
+        buf.max() > 0x7E
+        or np.count_nonzero(buf < 0x21) != len(ends)
+        or ends[0] == 0
+        or np.diff(ends).min(initial=2) < 2
+    ):
         return None
-    buf, ends = shape
+    return _gather_keys(buf, ends)
+
+
+def _gather_keys(buf: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The key of each token of `buf` that ends at `ends` and starts after the last.
+
+    None if a token is longer than 8 bytes.
+    """
     if buf.size < 8:
         buf = np.concatenate([buf, np.zeros(8 - buf.size, np.uint8)])
     # words[p] is the big-endian word of the 8 bytes from byte p on. A token
@@ -261,30 +308,42 @@ def _token_keys(data: bytes | str) -> np.ndarray | None:
     return keys
 
 
-def _label_keys(labels: list[str]) -> np.ndarray | None:
-    """Each label as the uint64 key `_token_keys` gives it, if every label packs.
+def _key_bytes(keys: np.ndarray) -> np.ndarray:
+    """The 8 big-endian bytes of each key, one row per key: a packed label, NUL-padded."""
+    return keys.astype(">u8").view(np.uint8).reshape(len(keys), 8)
 
-    A label packs when it is 1-8 bytes of printable ASCII (0x21-0x7E); else
-    None. The keys compare as the labels' bytes do. The guard comes before
-    the packing, as "S8" cuts a longer label to its first 8 bytes and drops
-    trailing NULs: "abcdefghi" would take the key of "abcdefgh", and "a\\0"
-    the key of "a".
+
+def _lines(*fields: np.ndarray | bytes) -> bytes:
+    """Lines of the fields side by side, with every NUL byte dropped.
+
+    A field is a (lines, width) uint8 matrix, or bytes that every line holds;
+    the first is a matrix. Packed labels hold no NUL, so a matrix may pad
+    with them.
     """
-    sizes = np.fromiter(map(len, labels), np.int64, len(labels))
-    if sizes.size and (sizes.min() < 1 or sizes.max() > 8):
-        return None
-    text = "".join(labels)
-    if not text.isascii():
-        return None
-    buf = np.frombuffer(text.encode("ascii"), np.uint8)
-    if buf.size and (buf.min() < 0x21 or buf.max() > 0x7E):
-        return None
-    return np.array(labels, "S8").view(">u8").astype(np.uint64)
+    columns = [np.frombuffer(f, np.uint8) if isinstance(f, bytes) else f for f in fields]
+    rows = np.empty((len(fields[0]), sum(c.shape[-1] for c in columns)), np.uint8)
+    at = 0
+    for column in columns:
+        rows[:, at : at + column.shape[-1]] = column
+        at += column.shape[-1]
+    return rows[rows != 0].tobytes()
 
 
-def _key_labels(keys: np.ndarray) -> list[str]:
-    """The label of each key of `_token_keys` or `_label_keys`."""
-    return keys.astype(">u8").view("S8").astype(str).tolist()
+def _keys_text(keys: np.ndarray) -> bytes:
+    """The `text` of the labels that `keys` pack."""
+    return _lines(_key_bytes(keys), b"\n")
+
+
+def _digits(values: np.ndarray) -> np.ndarray:
+    """Each nonnegative value's decimal digits, right-aligned in NUL-padded uint8 rows."""
+    width = len(str(int(values.max(initial=0))))
+    digits = np.zeros((len(values), width), np.uint8)
+    digits[:, -1] = values % 10 + 0x30
+    rest = values // 10
+    for col in range(width - 2, -1, -1):
+        digits[:, col] = np.where(rest > 0, rest % 10 + 0x30, 0)
+        rest //= 10
+    return digits
 
 
 def load_edgelist(
@@ -317,9 +376,9 @@ def load_edgelist(
     del pairs, loops
     ids, distinct = _kernels.first_appearance_ids(keys)
     del keys
-    labels = _key_labels(distinct)
+    n, text = len(distinct), _keys_text(distinct)
     del distinct
-    return _ingest(labels, ids[0::2], ids[1::2], lines_read, self_loops)
+    return _ingest(n, text, ids[0::2], ids[1::2], lines_read, self_loops)
 
 
 def _edgelist_from_lines(
@@ -342,13 +401,12 @@ def _edgelist_from_lines(
     u = np.asarray(us, dtype=np.int64)
     v = np.asarray(vs, dtype=np.int64)
     del us, vs
-    return _ingest(list(index), u, v, lines_read, self_loops)
+    return _ingest(len(index), _labels_text(list(index)), u, v, lines_read, self_loops)
 
 
 def _ingest(
-    labels: list[str], u: np.ndarray, v: np.ndarray, lines_read: int, self_loops: int
+    n: int, text: bytes, u: np.ndarray, v: np.ndarray, lines_read: int, self_loops: int
 ) -> tuple[Graph, IngestReport]:
-    n = len(labels)
     indptr, adj = _build_csr(n, u, v)
     m = len(adj) // 2
     report = IngestReport(
@@ -358,7 +416,7 @@ def _ingest(
         nodes=n,
         edges=m,
     )
-    return Graph(indptr, adj, labels), report
+    return Graph(indptr, adj, text), report
 
 
 def write_lines(target: str | Path | IO, lines: Iterable[str]) -> None:
@@ -374,14 +432,37 @@ def write_lines(target: str | Path | IO, lines: Iterable[str]) -> None:
             stream.close()
 
 
+def _write_blocks(
+    target: str | Path | IO, n: int, block: Callable[[slice], bytes]
+) -> None:
+    """Write `block(rows)` for each slice of [0, n) of `_PACK_BLOCK` rows.
+
+    Each block is UTF-8 text, written to a path as it is, or decoded to an
+    open text stream. The slices bound the bulk writers' scratch.
+    """
+    blocks = (block(slice(lo, lo + _PACK_BLOCK)) for lo in range(0, n, _PACK_BLOCK))
+    if not isinstance(target, (str, Path)):
+        for data in blocks:
+            target.write(data.decode("utf-8"))
+        return
+    with open(target, "wb") as fh:
+        for data in blocks:
+            fh.write(data)
+
+
 def write_edgelist(g: Graph, target: str | Path | IO, delimiter: str = "\t") -> None:
     """Write each edge once as `label_u<delim>label_v`, ordered by index pair."""
-    labels = g.labels
+    keys = _text_keys(g.text) if "\x00" not in delimiter else None
     u, v = g.edge_arrays()
-    write_lines(
-        target,
-        (f"{labels[a]}{delimiter}{labels[b]}\n" for a, b in zip(u.tolist(), v.tolist())),
-    )
+    if keys is None:
+        labels = g.labels
+        pairs = zip(u.tolist(), v.tolist())
+        write_lines(target, (f"{labels[a]}{delimiter}{labels[b]}\n" for a, b in pairs))
+        return
+    sep = delimiter.encode("utf-8")
+    _write_blocks(target, len(u), lambda rows: _lines(
+        _key_bytes(keys[u[rows]]), sep, _key_bytes(keys[v[rows]]), b"\n"
+    ))
 
 
 def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -394,9 +475,9 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, dict[int, i
     if node_arr.size and (node_arr[0] < 0 or node_arr[-1] >= g.n):
         raise ContractViolation("induced_subgraph: node index out of range")
     sub_indptr, sub_adj = _kernels.induced_csr(g.indptr, g.adj, node_arr)
-    labels = [g.labels[i] for i in node_arr.tolist()]
+    labels = g.labels  # decoded once, not once per node
     mapping = {int(old): new for new, old in enumerate(node_arr.tolist())}
-    return Graph(sub_indptr, sub_adj, labels), mapping
+    return Graph(sub_indptr, sub_adj, [labels[i] for i in mapping]), mapping
 
 
 def connected_components(g: Graph) -> list[np.ndarray]:

@@ -218,7 +218,7 @@ def _process_cluster(
     piece: np.ndarray,
     t: ThresholdSpec,
     clusterer,
-    labels: list[str],
+    labels: list[str] | None,
 ) -> tuple[np.ndarray, np.ndarray, int, int, int, list[int]]:
     """Run the split queue for one original cluster, given the first split.
 
@@ -309,7 +309,7 @@ def _recluster(
     clusterer,
     indptr: np.ndarray,
     adj: np.ndarray,
-    labels: list[str],
+    labels: list[str] | None,
 ) -> list[np.ndarray]:
     """Apply the re-clustering step of CM to each part of a split."""
     if clusterer is None or clusterer.trivial_on_connected:
@@ -362,8 +362,10 @@ def _treat(
     if spawns:
         run |= disconnected
     ids = np.flatnonzero(run)
+    # only the external re-clusterer reads labels, to name its parts' nodes
+    labels = g.labels if spawns else None
     results = map_clusters(
-        g, c, ids, _process_cluster, (piece, t, clusterer, g.labels), processes,
+        g, c, ids, _process_cluster, (piece, t, clusterer, labels), processes,
         spawns=spawns,
     )
     cuts_performed = 0

@@ -52,6 +52,15 @@ def as_sources(raw: bytes, tmp_path) -> list:
     return [path, raw, io.StringIO(raw.decode("utf-8"))]
 
 
+def written(write, tmp_path) -> list[str]:
+    """What `write(target)` writes to a path, as text, and to a text stream."""
+    path = tmp_path / "out.tsv"
+    write(path)
+    stream = io.StringIO()
+    write(stream)
+    return [path.read_bytes().decode("utf-8"), stream.getvalue()]
+
+
 def edges_of(g: w.Graph) -> list[tuple[int, int]]:
     """Each undirected edge of `g` once, as (u, v) with u < v, sorted."""
     u, v = g.edge_arrays()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wellconn as w
-from conftest import as_sources
+from conftest import as_sources, written
 from wellconn import cli, clustering, graph
 
 
@@ -539,6 +539,55 @@ class TestJoinReference:
         assert out.getvalue() == "".join(f"{labels[v]}\t{ids[v]}\n" for v in order)
 
 
+def ref_clustering_text(c, g) -> str:
+    """`write_clustering`'s text, one f-string per node in label order."""
+    labels, ids = g.labels, c.assignment.tolist()
+    return "".join(f"{labels[v]}\t{ids[v]}\n" for v in sorted(range(g.n), key=labels.__getitem__))
+
+
+def packed_label(i: int, width: int) -> str:
+    """A distinct label for each i: i in base 93 over 0x21-0x7D, "~"-padded to `width`."""
+    digits = ""
+    while True:
+        i, r = divmod(i, 93)
+        digits = chr(0x21 + r) + digits
+        if not i:
+            return digits.rjust(width, "~")
+
+
+class TestWriteClustering:
+    """The bulk writer against the f-string reference, byte for byte."""
+
+    @pytest.mark.parametrize("ids", ["singletons", "mixed"])
+    def test_packed_labels_and_digit_boundaries(self, tmp_path, monkeypatch, ids):
+        # blocks of 700 lines, so that blocks differ in their ids' digit counts
+        monkeypatch.setattr(graph, "_PACK_BLOCK", 700)
+        # 10,001 nodes: as singletons their ids take 0, 9, 10, 99, ..., 10000
+        n = 10001
+        rng = np.random.default_rng(4)
+        labels = [packed_label(i, 1 + i % 8) for i in rng.permutation(n).tolist()]
+        assert {len(lab) for lab in labels} == set(range(1, 9))
+        g = w.Graph.from_edges(n, [], labels)
+        assignment = np.arange(n) if ids == "singletons" else rng.integers(0, 3000, n)
+        c = w.Clustering.from_assignment(assignment)
+        expected = ref_clustering_text(c, g)
+        assert written(lambda t: w.write_clustering(c, g, t), tmp_path) == [
+            expected, expected
+        ]
+
+    @pytest.mark.parametrize("labels", [
+        ["b", "café", "a"], ["a\x00", "a", ""], ["long-label", "x"], ["a b", "a"],
+        ["0"], [],
+    ])
+    def test_labels_that_do_not_pack_or_are_few(self, tmp_path, labels):
+        g = w.Graph.from_edges(len(labels), [], labels)
+        c = w.Clustering.from_assignment(np.arange(len(labels)) % 2)
+        expected = ref_clustering_text(c, g)
+        assert written(lambda t: w.write_clustering(c, g, t), tmp_path) == [
+            expected, expected
+        ]
+
+
 class TestPackedKeys:
     """The keys never stand for another label: 8 bytes is a hard limit, and a
     NUL, a space or a byte outside ASCII sends a label to the dict path."""
@@ -546,14 +595,17 @@ class TestPackedKeys:
     GRAPH_LABELS = ["abcdefgh", "abcdefghi", "a", "a\x00", "café", "a b"]
 
     def test_label_keys_pack_only_printable_ascii_up_to_8_bytes(self):
-        assert graph._label_keys(self.GRAPH_LABELS) is None
+        def label_keys(labels):
+            return graph._text_keys(graph._labels_text(labels))
+
+        assert label_keys(self.GRAPH_LABELS) is None
         for odd in ["abcdefghi", "a\x00", "café", "a b", "", "\x7f"]:
-            assert graph._label_keys(["a", odd]) is None, odd
-        keys = graph._label_keys(["abcdefgh", "a", "~!"])
+            assert label_keys(["a", odd]) is None, odd
+        keys = label_keys(["abcdefgh", "a", "~!"])
         assert keys.tolist() == graph._token_keys(b"abcdefgh\ta\n~!\tx\n")[
             [0, 1, 2]
         ].tolist()
-        assert graph._label_keys([]).tolist() == []
+        assert label_keys([]).tolist() == []
 
     # each file, with the clustering it gives on the graph of GRAPH_LABELS, or
     # the line and message of its error, and whether it packs beside a graph

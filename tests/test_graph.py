@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import wellconn as w
 from wellconn import graph
-from conftest import as_sources, edges_of, graph_of, two_cliques
+from conftest import as_sources, edges_of, graph_of, two_cliques, written
 
 
 def load(text: str, delimiter: str = "\t"):
@@ -178,6 +178,77 @@ class TestGraphStructure:
         text = "".join(f"{lab}\n" for lab in labels).encode()
         data = b"graph/v1\n" + text + g.indptr.tobytes() + g.adj.tobytes()
         assert g.digest() == hashlib.sha256(data).hexdigest()
+
+
+def ref_edgelist(g, delimiter="\t") -> str:
+    """`write_edgelist`'s text, one f-string per edge."""
+    labels = g.labels
+    u, v = g.edge_arrays()
+    return "".join(f"{labels[a]}{delimiter}{labels[b]}\n" for a, b in zip(u.tolist(), v.tolist()))
+
+
+class TestLabelText:
+    """A graph holds its labels as one text: their UTF-8 bytes, each followed by LF."""
+
+    @pytest.mark.parametrize("labels", [["a\x00", "café", "a\rb", ""], [], ["x"]])
+    def test_labels_round_trip(self, labels):
+        g = w.Graph.from_edges(len(labels), [], labels)
+        assert g.labels == labels
+        assert g.text == "".join(f"{lab}\n" for lab in labels).encode()
+        assert g.with_isolated(["y\x00"]).labels == labels + ["y\x00"]
+
+    def test_a_line_feed_in_a_label_raises(self):
+        g, _ = load("a\tb\n")
+        for make in (
+            lambda: w.Graph.from_edges(2, [], ["a", "b\nc"]),
+            lambda: w.Graph(g.indptr, g.adj, ["a", "\n"]),
+            lambda: g.with_isolated(["c\n"]),
+        ):
+            with pytest.raises(w.ContractViolation, match="label holds a line feed"):
+                make()
+
+    # labels of 1-8 printable ASCII bytes pack; a space, a NUL, a byte
+    # outside ASCII or a ninth byte sends the whole graph to the f-strings
+    @pytest.mark.parametrize("labels", [
+        ["a", "bb", "ccc", "dddd", "~~~~~", "!!!!!!", "0123456", "abcdefgh"],
+        ["a", "bb", "long-label", "café", "a b", "a\x00", ""],
+    ])
+    @pytest.mark.parametrize("delimiter", ["\t", " ", "::", "→", "\x00"])
+    def test_write_edgelist_bytes(self, tmp_path, monkeypatch, labels, delimiter):
+        # blocks of 5 lines, so that every writer runs more than one
+        monkeypatch.setattr(graph, "_PACK_BLOCK", 5)
+        rng = random.Random(len(labels))
+        n = len(labels)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(30)]
+        g = w.Graph.from_edges(n, edges, labels)
+        expected = ref_edgelist(g, delimiter)
+        assert written(lambda t: w.write_edgelist(g, t, delimiter), tmp_path) == [
+            expected, expected
+        ]
+
+    def test_bulk_paths_hold_no_string_per_node(self, tmp_path):
+        # a perfect matching of 100k labels: one Python str per label would
+        # take about 50 bytes, and the whole of each step below stays under
+        # that plus its arrays
+        n = 100_000
+        data = "".join(f"n{i}\tn{i + 1}\n" for i in range(0, n, 2)).encode()
+        c = w.Clustering.from_assignment(np.arange(n) // 3)
+        path = tmp_path / "out.tsv"
+
+        def peak(step):
+            tracemalloc.start()
+            try:
+                return step(), tracemalloc.get_traced_memory()[1] / n
+            finally:
+                tracemalloc.stop()
+
+        (g, _), load_peak = peak(lambda: w.load_edgelist(data))
+        _, clustering_peak = peak(lambda: w.write_clustering(c, g, path))
+        _, edgelist_peak = peak(lambda: w.write_edgelist(g, path))
+        assert g.n == n
+        assert load_peak < 85, load_peak
+        assert clustering_peak < 90, clustering_peak
+        assert edgelist_peak < 70, edgelist_peak
 
 
 class TestInducedSubgraph:
