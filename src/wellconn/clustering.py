@@ -287,7 +287,8 @@ def admit(g: Graph, *memberships: dict[str, str]) -> Graph:
     extra = dict.fromkeys(lab for m in memberships for lab in m)
     for lab in g.labels:
         extra.pop(lab, None)
-    return g._extended(_labels_text(list(extra)))
+    added = list(extra)
+    return g._extended(_labels_text(added), added)
 
 
 def clustering_from_membership(
@@ -346,7 +347,8 @@ def join_memberships(
     if memberships is None:
         return _packed_join(g, [lines for lines, _, _ in packed])
     graph = admit(g, *memberships)
-    clusterings = [clustering_from_membership(m, graph.labels) for m in memberships]
+    labels = graph.labels
+    clusterings = [clustering_from_membership(m, labels) for m in memberships]
     return graph, clusterings, [len(m) for m in memberships]
 
 

@@ -36,21 +36,39 @@ class Graph:
     """Simple undirected graph, immutable: its CSR and one distinct label per node.
 
     The labels are held as `text`: their UTF-8 bytes, each label followed by
-    LF. The list of labels is derived from it on each read of `labels`.
+    LF. The list of labels is derived from it at the first read of `labels`,
+    and kept.
     """
 
-    __slots__ = ("indptr", "adj", "text")
+    __slots__ = ("indptr", "adj", "text", "_labels")
 
-    def __init__(self, indptr: np.ndarray, adj: np.ndarray, labels: list[str] | bytes):
-        """`labels` is a list of labels, or bytes that are already a graph's `text`."""
+    def __init__(self, indptr: np.ndarray, adj: np.ndarray, labels: list[str]):
         self.indptr = indptr
         self.adj = adj
-        self.text = labels if isinstance(labels, bytes) else _labels_text(labels)
+        self.text = _labels_text(labels)
+        self._labels: list[str] | None = None
+
+    @classmethod
+    def _of_text(
+        cls,
+        indptr: np.ndarray,
+        adj: np.ndarray,
+        text: bytes,
+        labels: list[str] | None = None,
+    ) -> "Graph":
+        """A graph on a `text` made in this package, so unchecked: one distinct
+        label per node, each followed by LF. `labels`, if given, is the list
+        that `text` decodes to."""
+        g = cls.__new__(cls)
+        g.indptr, g.adj, g.text, g._labels = indptr, adj, text, labels
+        return g
 
     @property
     def labels(self) -> list[str]:
-        """The label of each node, decoded from `text` on each read."""
-        return self.text.decode("utf-8").split("\n")[:-1]
+        """The label of each node, decoded from `text` at the first read."""
+        if self._labels is None:
+            self._labels = self.text.decode("utf-8").split("\n")[:-1]
+        return self._labels
 
     @property
     def n(self) -> int:
@@ -88,16 +106,26 @@ class Graph:
             present = _unique(extra_labels).intersection(self.labels)
             if present:
                 raise ContractViolation(f"label already present: {min(present)!r}")
-        return self._extended(_labels_text(extra_labels))
+        return self._extended(_labels_text(extra_labels), extra_labels)
 
-    def _extended(self, extra_text: bytes) -> "Graph":
-        """`with_isolated` for the `text` of labels known to be distinct and absent here."""
+    def _extended(
+        self, extra_text: bytes, extra_labels: list[str] | None = None
+    ) -> "Graph":
+        """`with_isolated` for the `text` of labels known to be distinct and absent here.
+
+        `extra_labels`, if given, is the list that `extra_text` decodes to. With
+        this graph's labels already decoded, the copy's list is the two joined,
+        and their strings are shared rather than decoded again.
+        """
         if not extra_text:
             return self
         indptr = np.concatenate(
             [self.indptr, np.full(extra_text.count(b"\n"), self.indptr[-1], np.int64)]
         )
-        return Graph(indptr, self.adj, self.text + extra_text)
+        labels = None
+        if self._labels is not None and extra_labels is not None:
+            labels = self._labels + extra_labels
+        return Graph._of_text(indptr, self.adj, self.text + extra_text, labels)
 
     @classmethod
     def from_edges(
@@ -267,11 +295,12 @@ def _text_keys(text: bytes) -> np.ndarray | None:
     buf = np.frombuffer(text, np.uint8)
     if buf.size == 0:
         return np.empty(0, np.uint64)
+    if buf.max() > 0x7E:
+        return None
     ends = np.flatnonzero(buf == 0x0A)
     # every byte below 0x21 is a label's LF, and no label is empty
     if (
-        buf.max() > 0x7E
-        or np.count_nonzero(buf < 0x21) != len(ends)
+        np.count_nonzero(buf < 0x21) != len(ends)
         or ends[0] == 0
         or np.diff(ends).min(initial=2) < 2
     ):
@@ -401,11 +430,21 @@ def _edgelist_from_lines(
     u = np.asarray(us, dtype=np.int64)
     v = np.asarray(vs, dtype=np.int64)
     del us, vs
-    return _ingest(len(index), _labels_text(list(index)), u, v, lines_read, self_loops)
+    labels = list(index)
+    del index
+    return _ingest(
+        len(labels), _labels_text(labels), u, v, lines_read, self_loops, labels
+    )
 
 
 def _ingest(
-    n: int, text: bytes, u: np.ndarray, v: np.ndarray, lines_read: int, self_loops: int
+    n: int,
+    text: bytes,
+    u: np.ndarray,
+    v: np.ndarray,
+    lines_read: int,
+    self_loops: int,
+    labels: list[str] | None = None,
 ) -> tuple[Graph, IngestReport]:
     indptr, adj = _build_csr(n, u, v)
     m = len(adj) // 2
@@ -416,7 +455,7 @@ def _ingest(
         nodes=n,
         edges=m,
     )
-    return Graph(indptr, adj, text), report
+    return Graph._of_text(indptr, adj, text, labels), report
 
 
 def write_lines(target: str | Path | IO, lines: Iterable[str]) -> None:
@@ -475,7 +514,7 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, dict[int, i
     if node_arr.size and (node_arr[0] < 0 or node_arr[-1] >= g.n):
         raise ContractViolation("induced_subgraph: node index out of range")
     sub_indptr, sub_adj = _kernels.induced_csr(g.indptr, g.adj, node_arr)
-    labels = g.labels  # decoded once, not once per node
+    labels = g.labels
     mapping = {int(old): new for new, old in enumerate(node_arr.tolist())}
     return Graph(sub_indptr, sub_adj, [labels[i] for i in mapping]), mapping
 

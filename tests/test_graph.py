@@ -194,8 +194,17 @@ class TestLabelText:
     def test_labels_round_trip(self, labels):
         g = w.Graph.from_edges(len(labels), [], labels)
         assert g.labels == labels
+        assert g.labels is g.labels  # decoded once, and kept
         assert g.text == "".join(f"{lab}\n" for lab in labels).encode()
         assert g.with_isolated(["y\x00"]).labels == labels + ["y\x00"]
+
+    def test_the_dict_path_shares_the_parsed_labels(self):
+        # labels over 8 bytes take the per-line ingest and the dict join; the
+        # joined graph's list holds the strings the ingest parsed
+        g, _ = load("long-label\tb\n")
+        loaded = w.load_clustering(io.StringIO("long-label\t1\nc\t2\n"), g)
+        assert loaded.graph.labels == ["long-label", "b", "c"]
+        assert all(a is b for a, b in zip(loaded.graph.labels, g.labels))
 
     def test_a_line_feed_in_a_label_raises(self):
         g, _ = load("a\tb\n")
