@@ -18,7 +18,6 @@ module (see the subcommands below).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
@@ -54,7 +53,14 @@ from .clustering import (
     write_clustering,
 )
 from .errors import ContractViolation, ExternalClustererError, WellconnError
-from .graph import Graph, induced_subgraph, load_edgelist, write_edgelist, write_lines
+from .graph import (
+    Graph,
+    induced_subgraph,
+    load_edgelist,
+    sha256,
+    write_edgelist,
+    write_lines,
+)
 from .treatments import (
     cc_treatment_with_trace,
     cm_treatment,
@@ -102,12 +108,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sha256(path: str | Path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        # 64 KiB reads: 1 MiB ones, taken before the command runs, raised its
-        # peak RSS by about 1 MB
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
+        h = sha256(os.fstat(fh.fileno()).st_size)
+        # 64 KiB reads into one buffer: 1 MiB ones, taken before the command
+        # runs, raised its peak RSS by about 1 MB
+        buf = memoryview(bytearray(1 << 16))
+        while size := fh.readinto(buf):
+            h.update(buf[:size])
     return h.hexdigest()
 
 
@@ -541,92 +548,116 @@ _PROCESSORS_HELP = (
 )
 
 
+# the subcommands, in the order the top-level help lists them
+_SUBCOMMANDS = ("treat", "audit", "eval", "dl", "stats", "generate")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand and its arguments."""
+    return _parser(_SUBCOMMANDS)
+
+
+def _parser(filled) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the arguments of those in `filled`.
+
+    The top-level help lists every subcommand either way; a subcommand's own
+    arguments are most of the build's time.
+    """
     parser = _Parser(prog="wellconn", description=__doc__)
     parser.add_argument("--version", action="version", version=f"wellconn {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     treat = subs.add_parser("treat", help="repair a clustering (cc, wcc, or cm)")
-    treat.add_argument("--edgelist", required=True)
-    treat.add_argument("--existing-clustering", required=True)
-    treat.add_argument("--mode", required=True, choices=("cc", "wcc", "cm"))
-    treat.add_argument("--threshold", default="1log10")
-    treat.add_argument("--output-file", required=True)
-    treat.add_argument(
-        "--num-processors", type=int, default=1,
-        help=_PROCESSORS_HELP + ", except under cm with an external re-clusterer, "
-        "which gets one worker per cluster up to this number",
-    )
-    treat.add_argument(
-        "--clusterer",
-        default="identity",
-        help="cm re-clusterer: identity, components, or external:<command>",
-    )
-    _add_logging(treat)
-    treat.set_defaults(func=_cmd_treat)
+    if "treat" in filled:
+        treat.add_argument("--edgelist", required=True)
+        treat.add_argument("--existing-clustering", required=True)
+        treat.add_argument("--mode", required=True, choices=("cc", "wcc", "cm"))
+        treat.add_argument("--threshold", default="1log10")
+        treat.add_argument("--output-file", required=True)
+        treat.add_argument(
+            "--num-processors", type=int, default=1,
+            help=_PROCESSORS_HELP + ", except under cm with an external re-clusterer, "
+            "which gets one worker per cluster up to this number",
+        )
+        treat.add_argument(
+            "--clusterer",
+            default="identity",
+            help="cm re-clusterer: identity, components, or external:<command>",
+        )
+        _add_logging(treat)
+        treat.set_defaults(func=_cmd_treat)
 
     audit = subs.add_parser("audit", help="classify cluster connectivity")
-    audit.add_argument("--edgelist", required=True)
-    audit.add_argument("--clustering", required=True)
-    audit.add_argument("--threshold", default="1log10")
-    audit.add_argument(
-        "--num-processors", type=int, default=1, help=_PROCESSORS_HELP
-    )
-    audit.add_argument("--mincut-cap", type=int, default=None)
-    audit.add_argument("--per-cluster-table", default=None)
-    _add_common(audit)
-    audit.set_defaults(func=_cmd_audit)
+    if "audit" in filled:
+        audit.add_argument("--edgelist", required=True)
+        audit.add_argument("--clustering", required=True)
+        audit.add_argument("--threshold", default="1log10")
+        audit.add_argument(
+            "--num-processors", type=int, default=1, help=_PROCESSORS_HELP
+        )
+        audit.add_argument("--mincut-cap", type=int, default=None)
+        audit.add_argument("--per-cluster-table", default=None)
+        _add_common(audit)
+        audit.set_defaults(func=_cmd_audit)
 
     ev = subs.add_parser("eval", help="score a clustering against ground truth")
-    ev.add_argument("--ground-truth", required=True)
-    ev.add_argument("--estimated", required=True)
-    ev.add_argument("--metrics", default=None)
-    ev.add_argument("--edgelist", default=None)
-    ev.add_argument("--restrict-common", action="store_true")
-    _add_common(ev)
-    ev.set_defaults(func=_cmd_eval)
+    if "eval" in filled:
+        ev.add_argument("--ground-truth", required=True)
+        ev.add_argument("--estimated", required=True)
+        ev.add_argument("--metrics", default=None)
+        ev.add_argument("--edgelist", default=None)
+        ev.add_argument("--restrict-common", action="store_true")
+        _add_common(ev)
+        ev.set_defaults(func=_cmd_eval)
 
     dl = subs.add_parser("dl", help="description-length accounting")
-    dl.add_argument("--edgelist", default=None)
-    dl.add_argument("--clustering", default=None)
-    dl.add_argument("--components-before", default=None)
-    dl.add_argument("--components-after", default=None)
-    _add_common(dl)
-    dl.set_defaults(func=_cmd_dl)
+    if "dl" in filled:
+        dl.add_argument("--edgelist", default=None)
+        dl.add_argument("--clustering", default=None)
+        dl.add_argument("--components-before", default=None)
+        dl.add_argument("--components-after", default=None)
+        _add_common(dl)
+        dl.set_defaults(func=_cmd_dl)
 
     stats = subs.add_parser("stats", help="cluster size statistics and coverage")
-    stats.add_argument("--clustering", required=True)
-    stats.add_argument("--edgelist", default=None)
-    _add_common(stats)
-    stats.set_defaults(func=_cmd_stats)
+    if "stats" in filled:
+        stats.add_argument("--clustering", required=True)
+        stats.add_argument("--edgelist", default=None)
+        _add_common(stats)
+        stats.set_defaults(func=_cmd_stats)
 
     gen = subs.add_parser("generate", help="write a synthetic network + clustering")
-    gen.add_argument(
-        "--kind",
-        required=True,
-        choices=(
-            "clique-ring", "bridged-cliques", "planted-partition-lite", "random-gnp"
-        ),
-    )
-    gen.add_argument("--num-cliques", type=int, default=2)
-    gen.add_argument("--clique-size", type=int, default=10)
-    gen.add_argument("--bridges", type=int, default=1)
-    gen.add_argument("--sizes", default="100x10")
-    gen.add_argument("--p-in", type=float, default=0.1)
-    gen.add_argument("--p-out", type=float, default=0.001)
-    gen.add_argument("--n", type=int, default=100)
-    gen.add_argument("--p", type=float, default=0.05)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--edgelist-out", required=True)
-    gen.add_argument("--clustering-out", required=True)
-    _add_common(gen)
-    gen.set_defaults(func=_cmd_generate)
+    if "generate" in filled:
+        gen.add_argument(
+            "--kind",
+            required=True,
+            choices=(
+                "clique-ring", "bridged-cliques", "planted-partition-lite", "random-gnp"
+            ),
+        )
+        gen.add_argument("--num-cliques", type=int, default=2)
+        gen.add_argument("--clique-size", type=int, default=10)
+        gen.add_argument("--bridges", type=int, default=1)
+        gen.add_argument("--sizes", default="100x10")
+        gen.add_argument("--p-in", type=float, default=0.1)
+        gen.add_argument("--p-out", type=float, default=0.001)
+        gen.add_argument("--n", type=int, default=100)
+        gen.add_argument("--p", type=float, default=0.05)
+        gen.add_argument("--seed", type=int, default=0)
+        gen.add_argument("--edgelist-out", required=True)
+        gen.add_argument("--clustering-out", required=True)
+        _add_common(gen)
+        gen.set_defaults(func=_cmd_generate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the subcommand this run names gets its arguments: the top level
+    # takes no option with a value, so that is the first non-option
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = _parser({named})
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -8,8 +8,7 @@ downstream tie-break reproducible.
 
 from __future__ import annotations
 
-import hashlib
-import io
+import sys
 from collections import Counter
 from itertools import islice
 from pathlib import Path
@@ -93,11 +92,13 @@ class Graph:
 
     def digest(self) -> str:
         """Structure fingerprint (labels plus adjacency), hex sha256."""
-        h = hashlib.sha256()
+        indptr = np.ascontiguousarray(self.indptr)
+        adj = np.ascontiguousarray(self.adj)
+        h = sha256(9 + len(self.text) + indptr.nbytes + adj.nbytes)
         h.update(b"graph/v1\n")
         h.update(self.text)
-        h.update(np.ascontiguousarray(self.indptr).tobytes())
-        h.update(np.ascontiguousarray(self.adj).tobytes())
+        h.update(indptr)
+        h.update(adj)
         return h.hexdigest()
 
     def with_isolated(self, extra_labels: list[str]) -> "Graph":
@@ -148,6 +149,35 @@ class Graph:
         elif len(_unique(labels)) != num_nodes:
             raise ContractViolation("label count does not match node count")
         return cls(indptr, adj, list(labels))
+
+
+# OpenSSL's SHA-256 is about six times as fast as the interpreter's own,
+# but `import hashlib` maps OpenSSL's libcrypto, which costs a process 3-4 ms
+# and 3.6 MB of resident memory (2-CPU machine); so the load pays for itself
+# from about 0.8 MB hashed.
+_OPENSSL_FROM = 768 << 10
+
+
+def sha256(nbytes: int):
+    """A new SHA-256 hasher for an object of `nbytes` bytes.
+
+    Below `_OPENSSL_FROM` bytes it is the interpreter's built-in SHA-256,
+    unless OpenSSL is already loaded in this process; then, and for larger
+    objects, it is `hashlib.sha256`. Both give the same digests.
+    """
+    if nbytes < _OPENSSL_FROM and "_hashlib" not in sys.modules:
+        try:
+            from _sha2 import sha256 as builtin  # 3.12 on
+        except ImportError:
+            try:
+                from _sha256 import sha256 as builtin  # 3.10 and 3.11
+            except ImportError:
+                builtin = None
+        if builtin is not None:
+            return builtin()
+    import hashlib
+
+    return hashlib.sha256()
 
 
 def _labels_text(labels: list[str]) -> bytes:
@@ -207,6 +237,11 @@ def _read_input(source: str | Path | IO) -> tuple[bytes | str, str]:
     return source.read(), "\n"
 
 
+# characters per slice of the decoded text that the per-line reader splits
+# at once: its lines are made a block at a time, not all together
+_LINE_BLOCK = 65536
+
+
 def _line_pairs(
     data: bytes | str, newline: str, error: type, delimiter: str, name: str
 ) -> Iterator[tuple[int, str, str]]:
@@ -215,7 +250,9 @@ def _line_pairs(
     Bytes are decoded as UTF-8. At the first invalid byte, the lines before
     its own are yielded, and then `error` is raised with its line number. A
     line that is not two nonempty tokens split by one `delimiter` raises
-    `error`, which calls the delimiter `name`.
+    `error`, which calls the delimiter `name`. With `newline` "" lines end at
+    LF, CR or CRLF, which become LF in a copy of the text; with "\n" at LF
+    alone, and a line's trailing CRs are dropped.
     """
     invalid = None
     if not isinstance(data, str):
@@ -227,15 +264,26 @@ def _line_pairs(
                 f"not valid UTF-8 (byte 0x{data[exc.start]:02x})",
             )
             data = data[: data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
-    for line_no, raw in enumerate(io.StringIO(data, newline=newline), start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            continue
-        parts = line.split(delimiter)
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            message = f"expected two {name}-separated tokens, got {line!r}"
-            raise error(line_no, message)
-        yield line_no, parts[0], parts[1]
+    if not newline and "\r" in data:
+        data = data.replace("\r\n", "\n").replace("\r", "\n")
+    # the text is split a block of whole lines at a time, so that only one
+    # block's lines are held beside it
+    line_no, start, end = 0, 0, len(data)
+    while start < end:
+        stop = data.find("\n", start + _LINE_BLOCK)
+        if stop < 0:
+            stop = end
+        for line in data[start:stop].split("\n"):
+            line_no += 1
+            line = line.rstrip("\r")
+            if not line.strip():
+                continue
+            parts = line.split(delimiter)
+            if len(parts) != 2 or not parts[0] or not parts[1]:
+                message = f"expected two {name}-separated tokens, got {line!r}"
+                raise error(line_no, message)
+            yield line_no, parts[0], parts[1]
+        start = stop + 1
     if invalid:
         raise error(*invalid)
 

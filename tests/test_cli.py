@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import wellconn as w
+from wellconn import cli
 from wellconn.cli import main
 from conftest import wellconn_env
 
@@ -274,6 +275,41 @@ class TestTreat:
             "a worker process died (killed by SIGKILL) while running clusters 0\n"
         )
         assert not (tmp_path / "out.tsv.run.json").exists()
+
+
+SUBCOMMANDS = ["treat", "audit", "eval", "dl", "stats", "generate"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], []] + [[c, "--help"] for c in SUBCOMMANDS])
+def test_help_and_usage_are_the_full_parsers(argv, capsys):
+    # main builds the arguments of the named subcommand alone; what it prints
+    # is what the parser of every subcommand prints
+    code = main(argv)
+    printed = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert (code, printed) == (exc.value.code, capsys.readouterr())
+    if argv == ["--help"]:
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in printed.out
+
+
+def subparsers(parser) -> dict:
+    """Each subcommand's parser, by name."""
+    (action,) = [a for a in parser._actions if a.dest == "subcommand"]
+    return action.choices
+
+
+def test_main_builds_only_the_named_subcommands_arguments(monkeypatch):
+    asked = []
+    parser = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda filled: asked.append(filled) or parser(filled))
+    assert main(["stats", "--help"]) == 0
+    assert asked == [{"stats"}]
+    # the others have their help option alone
+    actions = {name: len(sub._actions) for name, sub in subparsers(parser({"stats"})).items()}
+    assert list(actions) == SUBCOMMANDS == list(cli._SUBCOMMANDS)
+    assert [name for name, count in actions.items() if count > 1] == ["stats"]
+    assert all(len(sub._actions) > 1 for sub in subparsers(cli.build_parser()).values())
 
 
 @pytest.mark.parametrize("case", [

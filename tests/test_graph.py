@@ -3,6 +3,7 @@
 import hashlib
 import io
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wellconn as w
-from wellconn import graph
+from wellconn import cli, graph
 from conftest import as_sources, edges_of, graph_of, two_cliques, written
 
 
@@ -177,6 +178,72 @@ class TestGraphStructure:
         g = w.Graph.from_edges(len(labels), [(0, 1)] if len(labels) > 1 else [], labels)
         text = "".join(f"{lab}\n" for lab in labels).encode()
         data = b"graph/v1\n" + text + g.indptr.tobytes() + g.adj.tobytes()
+        assert g.digest() == hashlib.sha256(data).hexdigest()
+
+
+def without_openssl(monkeypatch) -> None:
+    """Make this process look as if it had not loaded OpenSSL, as pytest has."""
+    monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+
+
+def uses_openssl(h) -> bool:
+    return type(h).__module__ == "_hashlib"
+
+
+class TestSha256:
+    """The hasher: the interpreter's own SHA-256 for small objects, until
+    OpenSSL is loaded, and the same digests as `hashlib.sha256` either way."""
+
+    @pytest.mark.parametrize("size", [
+        0, graph._OPENSSL_FROM - 1, graph._OPENSSL_FROM, graph._OPENSSL_FROM + 1
+    ])
+    def test_digests_equal_hashlib(self, monkeypatch, size):
+        data = random.Random(size).randbytes(size)
+        expected = hashlib.sha256(data).hexdigest()
+        openssl = "_hashlib" in sys.modules
+        h = graph.sha256(size)
+        h.update(data)
+        assert h.hexdigest() == expected
+        assert uses_openssl(h) == openssl
+        without_openssl(monkeypatch)
+        h = graph.sha256(size)
+        h.update(data)
+        assert h.hexdigest() == expected
+        assert uses_openssl(h) == (openssl and size >= graph._OPENSSL_FROM)
+
+    def test_once_openssl_is_loaded_every_hash_uses_it(self, monkeypatch):
+        openssl = pytest.importorskip("_hashlib")
+        assert uses_openssl(graph.sha256(0))
+        without_openssl(monkeypatch)
+        assert not uses_openssl(graph.sha256(0))
+        monkeypatch.setitem(sys.modules, "_hashlib", openssl)
+        assert uses_openssl(graph.sha256(0))
+
+    def test_falls_back_to_hashlib_without_a_built_in_sha256(self, monkeypatch):
+        without_openssl(monkeypatch)
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        h = graph.sha256(3)
+        h.update(b"abc")
+        assert h.hexdigest() == hashlib.sha256(b"abc").hexdigest()
+        assert type(h) is type(hashlib.sha256())
+
+    @pytest.mark.parametrize("openssl", [True, False])
+    def test_file_of_several_blocks(self, tmp_path, monkeypatch, openssl):
+        # five 64 KiB reads and a short one
+        data = random.Random(5).randbytes(5 * 65536 + 123)
+        path = tmp_path / "in.bin"
+        path.write_bytes(data)
+        if not openssl:
+            without_openssl(monkeypatch)
+        assert cli._sha256(path) == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("openssl", [True, False])
+    def test_graph_digest_on_either_hasher(self, monkeypatch, openssl):
+        g = graph_of(5, [(0, 1), (1, 2), (3, 4)])
+        data = b"graph/v1\n" + g.text + g.indptr.tobytes() + g.adj.tobytes()
+        if not openssl:
+            without_openssl(monkeypatch)
         assert g.digest() == hashlib.sha256(data).hexdigest()
 
 
@@ -426,6 +493,53 @@ class TestIngestFallback:
         assert outcome(b"ab\ncaf\xe9\tb\n") == (
             "error", 1, "edgelist line 1: " + NO_TAB + "'ab'"
         )
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 65536])
+    def test_line_pairs_match_a_stringio_reader(self, monkeypatch, block):
+        # the reader before blocks: io.StringIO's lines, whose universal
+        # newlines (newline "") end at LF, CR and CRLF
+        def reference(data, newline):
+            for line_no, raw in enumerate(io.StringIO(data, newline=newline), start=1):
+                line = raw.rstrip("\n").rstrip("\r")
+                if not line.strip():
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 2 or not parts[0] or not parts[1]:
+                    yield "error", line_no
+                    return
+                yield line_no, parts[0], parts[1]
+
+        def lines(data, newline):
+            try:
+                yield from graph._line_pairs(data, newline, ValueError, "\t", "tab")
+            except ValueError as exc:
+                yield "error", exc.args[0]
+
+        monkeypatch.setattr(graph, "_LINE_BLOCK", block)
+        rng = random.Random(block)
+        for _ in range(400):
+            data = "".join(rng.choice(["a", "b", "\t", "\n", "\r", " "])
+                           for _ in range(rng.randrange(30)))
+            for newline in ("", "\n"):
+                assert list(lines(data, newline)) == list(reference(data, newline)), data
+
+    def test_per_line_ingest_memory_bound(self):
+        # 9-digit labels, which do not pack: the bytes and their decoded text
+        # (1 byte per character each) and the parsed pairs, about 4.2 bytes
+        # per input byte, against 7.9 with an io.StringIO of the text (4
+        # bytes per character)
+        rng = np.random.default_rng(10)
+        u, v = rng.integers(100_000_000, 100_015_000, (2, 50_000))
+        data = "".join(f"{a}\t{b}\n" for a, b in zip(u.tolist(), v.tolist())).encode()
+        assert graph._token_keys(data) is None
+        tracemalloc.start()
+        try:
+            g, _ = w.load_edgelist(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n > 10_000
+        assert peak / len(data) < 5.5, peak / len(data)
 
     def test_csr_matches_pair_sort(self):
         # the CSR build against the plain definition: rows of the sorted,

@@ -35,11 +35,12 @@ PUBLIC_NAMES = [
 ]
 
 # modules that treat, audit and eval never run; numpy.ma is loaded by a bare
-# np.unique(x), which takes a hash path in numpy 2.4, and fractions (which
-# loads decimal) by exact scores that need only int / int
+# np.unique(x), which takes a hash path in numpy 2.4, fractions (which
+# loads decimal) by exact scores that need only int / int, and _hashlib
+# (OpenSSL) by a digest of inputs this small
 UNUSED_BY_TREAT_AUDIT_EVAL = (
     "wellconn.dl", "wellconn.gadgets", "wellconn.mincut", "subprocess", "shlex",
-    "numpy.ma", "fractions", "decimal",
+    "numpy.ma", "fractions", "decimal", "_hashlib",
 )
 
 # modules that some command loads and others must not
@@ -178,6 +179,40 @@ def test_each_command_loads_only_its_own_modules(tmp_path, planted_files):
             json.dumps(PER_COMMAND), *map(str, argv),
         )
         assert json.loads(out) == [0, expected], argv
+
+
+def test_a_large_input_loads_openssl_and_keeps_the_document(tmp_path):
+    # an edgelist of at least graph._OPENSSL_FROM bytes: its digest, the
+    # command's first, loads OpenSSL in a fresh interpreter; pytest has
+    # loaded it already, so in this process every digest takes it
+    from wellconn import graph
+    from wellconn.cli import main
+
+    n = 40_000
+    net, clusters = tmp_path / "net.tsv", tmp_path / "clusters.tsv"
+    net.write_text("".join(
+        f"n{i}\tn{(i + step) % n}\n" for i in range(n) for step in (1, 7)
+    ))
+    clusters.write_text("".join(f"n{i}\t{i // 100}\n" for i in range(n)))
+    assert net.stat().st_size >= graph._OPENSSL_FROM
+    argv = ["treat", "--edgelist", str(net), "--existing-clustering", str(clusters),
+            "--mode", "cc", "--output-file", str(tmp_path / "cc.tsv")]
+    document = tmp_path / "cc.tsv.run.json"
+    assert main(argv) == 0
+    in_process = json.loads(document.read_text())
+    out = fresh_python(
+        "import json, sys\n"
+        "from wellconn.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, '_hashlib' in sys.modules]))\n",
+        *argv,
+    )
+    assert json.loads(out) == [0, True]
+    fresh = json.loads(document.read_text())
+    for doc in (in_process, fresh):
+        doc["manifest"]["duration_seconds"] = 0
+    assert fresh == in_process
+    assert fresh["payload"]["clusters_out"] == n // 100
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
