@@ -92,8 +92,10 @@ def first_split(
     """
     if c.n != g.n:
         raise ContractViolation(f"clustering covers {c.n} nodes but graph has {g.n}")
-    u, v = _kernels.upper_edges(g.indptr, g.adj)
-    inside = c.assignment[u] == c.assignment[v]
+    # in the adjacency's int32, each node's cluster too: half the memory of int64
+    u, v = _kernels.upper_edges(g.indptr, g.adj, g.adj.dtype)
+    cluster = c.assignment.astype(u.dtype)
+    inside = cluster[u] == cluster[v]
     u, v = u[inside], v[inside]  # the other edges are freed before the kernel runs
     piece = _kernels.component_labels(g.n, u, v)
     degree = None

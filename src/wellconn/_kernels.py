@@ -31,10 +31,10 @@ def component_labels(n, a, b):
 
     The caller's arrays are only read. The edges a round keeps are relabelled
     block by block into two arrays of the kernel's own, made in the first
-    round and compacted in place after it, so the kernel holds about 16
-    bytes per edge beside the caller's.
+    round and compacted in place after it. All are of the edges' dtype: mixed
+    with int64, int32 makes `np.minimum.at` many times slower.
     """
-    lab = np.arange(n)
+    lab = np.arange(n, dtype=np.result_type(a, b))
     own = None
     while len(a):
         # lab[x] <= x always, so each edge can only lower the larger end's root
@@ -43,7 +43,7 @@ def component_labels(n, a, b):
         while not np.array_equal(jump := lab[lab], lab):
             lab = jump
         if own is None:
-            own = np.empty(len(a), np.int64), np.empty(len(b), np.int64)
+            own = np.empty(len(a), lab.dtype), np.empty(len(b), lab.dtype)
         kept = 0
         # a block is read before its kept edges are written at or below its start
         for lo in range(0, len(a), _LABEL_BLOCK):
@@ -57,39 +57,46 @@ def component_labels(n, a, b):
     return (np.cumsum(lab == np.arange(n)) - 1)[lab]
 
 
-def first_appearance_ids(keys):
+# keys per block when first_appearance_ids makes its heads and ids
+_RANK_BLOCK = 1 << 14
+
+
+def first_appearance_ids(keys, out=None):
     """Each key's id, 0..k-1 by its value's first position, and the values by id.
 
-    One sort groups equal keys. The sorted copy is freed before `ids` is
-    made, and the group ids are made in place.
+    One argsort groups equal keys; the group heads, and then the ids, are made
+    from it block by block, with no sorted copy of the keys. The ids go to a
+    new int64 array, or to `out`, which may share the keys' memory: the keys
+    are last read before the first id is written.
     """
+    n = len(keys)
     order = np.argsort(keys)
-    ordered = keys[order]
-    heads = np.empty(len(keys), bool)
-    heads[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=heads[1:])
-    by_first = np.argsort(np.minimum.reduceat(order, np.flatnonzero(heads)))
-    distinct = ordered[heads][by_first]
-    del ordered
+    heads = np.ones(n, bool)
+    for lo in range(1, n, _RANK_BLOCK):
+        run = keys[order[lo - 1 : lo + _RANK_BLOCK]]
+        np.not_equal(run[1:], run[:-1], out=heads[lo : lo + _RANK_BLOCK])
+    starts = np.flatnonzero(heads)
+    by_first = np.argsort(np.minimum.reduceat(order, starts))
+    distinct = keys[order[starts[by_first]]]
     rank = np.empty_like(by_first)
     rank[by_first] = np.arange(len(by_first))
-    group = np.cumsum(heads)
-    del heads
-    group -= 1
-    # out= the index array itself: "clip" skips the copy that "raise" makes
-    np.take(rank, group, out=group, mode="clip")
-    ids = np.empty(len(order), np.int64)
-    ids[order] = group
+    del starts, by_first
+    ids = np.empty(n, np.int64) if out is None else out
+    base = -1  # the group of each sorted key: the heads up to it, less one
+    for lo in range(0, n, _RANK_BLOCK):
+        group = np.cumsum(heads[lo : lo + _RANK_BLOCK]) + base
+        base = group[-1]
+        # out= the index array itself: "clip" skips the copy that "raise" makes
+        np.take(rank, group, out=group, mode="clip")
+        ids[order[lo : lo + _RANK_BLOCK]] = group
     return ids, distinct
 
 
-def upper_edges(indptr, adj):
-    """Each undirected edge of a CSR graph once: int64 (u, v), u < v, in CSR order."""
-    n = len(indptr) - 1
-    # rows in adj's dtype: a graph's int32 rows take half the memory of int64
-    u = np.repeat(np.arange(n, dtype=adj.dtype), np.diff(indptr))
+def upper_edges(indptr, adj, dtype=np.int64):
+    """Each undirected edge of a CSR graph once: (u, v) of `dtype`, u < v, in CSR order."""
+    u = np.repeat(np.arange(len(indptr) - 1, dtype=adj.dtype), np.diff(indptr))
     upper = u < adj
-    return u[upper].astype(np.int64), adj[upper].astype(np.int64)
+    return u[upper].astype(dtype, copy=False), adj[upper].astype(dtype, copy=False)
 
 
 def connected_labels(indptr, adj):

@@ -204,6 +204,25 @@ _INPUT_OPTIONS = (
 _AT_LEAST = {"num_processors": 1, "mincut_cap": 0}
 
 
+def _check_files(inputs, outputs) -> None:
+    """Raise now what opening an input, or an output to write, would raise
+    after the work, creating and changing nothing. Pipes, devices and the
+    output "-" (stdout) are left to the command."""
+    for path in filter(None, inputs + outputs):
+        if path == "-" or os.path.lexists(path) and not (
+            os.path.isfile(path) or os.path.isdir(path)
+        ):
+            continue
+        if path in inputs:
+            open(path, "rb").close()
+            continue
+        try:  # made and removed again if new, else opened without truncation
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+            os.unlink(path)
+        except FileExistsError:
+            os.close(os.open(path, os.O_WRONLY))
+
+
 def _manifest(subcommand: str, inputs: dict, options: dict, started: float) -> dict:
     return {
         "tool": "wellconn",
@@ -248,15 +267,14 @@ def _setup_logging(log_file: str | None, log_level: int) -> None:
 
 def _cmd_treat(args):
     threshold = ThresholdSpec.parse(args.threshold)
+    sidecar = args.output_file + ".run.json"
+    _check_files([args.edgelist, args.existing_clustering], [args.output_file, sidecar])
     graph, ingest = load_edgelist(args.edgelist)
     loaded = load_clustering(args.existing_clustering, graph)
     graph = loaded.graph
     clustering = loaded.clustering
     log.info(
-        "loaded %d nodes, %d edges, %d clusters",
-        graph.n,
-        graph.m,
-        clustering.num_clusters,
+        "loaded %d nodes, %d edges, %d clusters", graph.n, graph.m, clustering.num_clusters
     )
     if args.mode == "cc":
         treated, trace = cc_treatment_with_trace(
@@ -292,19 +310,17 @@ def _cmd_treat(args):
         "clusterer": args.clusterer if args.mode == "cm" else None,
         "output_file": str(args.output_file),
     }
-    return args.output_file + ".run.json", options, payload
+    return sidecar, options, payload
 
 
 def _cmd_audit(args):
     threshold = ThresholdSpec.parse(args.threshold)
+    _check_files([args.edgelist, args.clustering], [args.per_cluster_table, args.output])
     graph, _ingest = load_edgelist(args.edgelist)
     loaded = load_clustering(args.clustering, graph)
     report = connectivity_audit(
-        loaded.graph,
-        loaded.clustering,
-        threshold,
-        processes=args.num_processors,
-        mincut_size_cap=args.mincut_cap,
+        loaded.graph, loaded.clustering, threshold,
+        processes=args.num_processors, mincut_size_cap=args.mincut_cap,
     )
     if args.per_cluster_table:
         header = (
@@ -414,6 +430,7 @@ def _cmd_eval(args):
             raise ContractViolation(f"unknown metric {tok!r} (choose from {sorted(_METRICS)})")
     if "agri" in wanted and not args.edgelist:
         raise ContractViolation("agri requires --edgelist")
+    _check_files([args.edgelist, args.ground_truth, args.estimated], [args.output])
     truth, est, graph, restricted = _universe_for_eval(args)
     clamped = []
     if "rmi" in wanted or "rmi_unnormalized" in wanted:

@@ -26,7 +26,6 @@ from .graph import (
     _read_input,
     _text_keys,
     _token_keys,
-    _two_columns,
     _write_blocks,
     split_by_label,
     write_lines,
@@ -249,7 +248,7 @@ def read_membership(source: str | Path | IO) -> dict[str, str]:
 
 def _parse_membership(data: bytes | str, newline: str) -> dict[str, str]:
     """`read_membership` of input already read by `_read_input`."""
-    if _two_columns(data) is not None:
+    if _token_keys(data, pack=False) is not None:
         flat = (data if isinstance(data, str) else data.decode("ascii")).split()
         labels, tokens = flat[0::2], flat[1::2]
         membership = dict(zip(labels, tokens))
@@ -401,7 +400,8 @@ def _packed_join(
         keys[g.n + extra_ids[: len(unknown)]] = tokens
         extra_ids = extra_ids[len(unknown) :]
         # a key's first node is its cluster's smallest: the ids are canonical
-        clusterings.append(Clustering(_kernels.first_appearance_ids(keys)[0]))
+        ids, _ = _kernels.first_appearance_ids(keys, out=keys.view(np.int64))
+        clusterings.append(Clustering(ids))
     return graph, clusterings, [count for *_, count in packed]
 
 

@@ -49,11 +49,7 @@ class Graph:
 
     @classmethod
     def _of_text(
-        cls,
-        indptr: np.ndarray,
-        adj: np.ndarray,
-        text: bytes,
-        labels: list[str] | None = None,
+        cls, indptr: np.ndarray, adj: np.ndarray, text: bytes, labels: list[str] | None = None
     ) -> "Graph":
         """A graph on a `text` made in this package, so unchecked: one distinct
         label per node, each followed by LF. `labels`, if given, is the list
@@ -88,7 +84,7 @@ class Graph:
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Each undirected edge once, as (u, v) arrays with u < v, sorted."""
-        return _kernels.upper_edges(self.indptr, self.adj)
+        return _kernels.upper_edges(self.indptr, self.adj, self.adj.dtype)
 
     def digest(self) -> str:
         """Structure fingerprint (labels plus adjacency), hex sha256."""
@@ -130,9 +126,7 @@ class Graph:
 
     @classmethod
     def from_edges(
-        cls,
-        num_nodes: int,
-        edges: Iterable[tuple[int, int]] | np.ndarray,
+        cls, num_nodes: int, edges: Iterable[tuple[int, int]] | np.ndarray,
         labels: list[str] | None = None,
     ) -> "Graph":
         """Build a graph from index pairs; self-loops and duplicates dropped."""
@@ -200,24 +194,39 @@ def _unique(labels: list[str]) -> set[str]:
     return distinct
 
 
+# keys or lines per block in the CSR build's compaction and the bulk
+# writers: 512 KB per 8-byte scratch array
+_PACK_BLOCK = 65536
+
+
 def _build_csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR arrays from endpoint arrays; normalizes, deduplicates, sorts rows."""
     keep = u != v
-    u, v = u[keep], v[keep]
+    if not keep.all():
+        u, v = u[keep], v[keep]
+    del keep
     m = len(u)
-    # each edge's two directed keys row * n + column, made in place, sorted
-    # in place and kept where they differ from their predecessor, as a bare
-    # np.unique takes a much slower hash path in numpy 2.4
+    # each edge's two directed keys row * n + column, made in place in int64
+    # whatever the ids' width, sorted in place and kept where they differ
+    # from their predecessor, as a bare np.unique takes a much slower hash
+    # path in numpy 2.4
     keys = np.empty(2 * m, np.int64)
-    np.multiply(u, n, out=keys[:m])
-    np.multiply(v, n, out=keys[m:])
+    np.multiply(u, n, out=keys[:m], dtype=np.int64)
+    np.multiply(v, n, out=keys[m:], dtype=np.int64)
     keys[:m] += v
     keys[m:] += u
-    del keep, u, v
+    del u, v
     keys.sort()
-    distinct = np.ones(len(keys), bool)
-    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-    keys = keys[distinct]
+    # compacted in place: a block is read before its kept keys are written
+    # at or below its start
+    kept, prev = 0, -1
+    for lo in range(0, len(keys), _PACK_BLOCK):
+        block = keys[lo : lo + _PACK_BLOCK]
+        new = block[np.diff(block, prepend=prev) != 0]
+        prev = block[-1]
+        keys[kept : kept + len(new)] = new
+        kept += len(new)
+    keys = keys[:kept]
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     np.remainder(keys, n, out=keys)
     return indptr, keys.astype(np.int32)
@@ -288,50 +297,66 @@ def _line_pairs(
         raise error(*invalid)
 
 
-def _two_columns(data: bytes | str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The bytes of `data` and the end of each token, if `data` has the common shape.
+# bytes per block of the bulk tokenizer (a block is the whole lines that
+# first reach it), and the separator after each token of a line
+_BYTE_BLOCK = 1 << 16
+_SEPS = np.array([0x09, 0x0A], np.uint8)
 
-    The common shape is what every writer here emits: lines of two nonempty
-    tokens of printable ASCII (0x21-0x7E) split by one tab, each ending in LF
-    except perhaps the last. Anything else gives None and is left to the
-    per-line readers, which skip blank lines and raise the parse errors.
-    The end of the last token is len(data) when the final LF is missing.
+
+def _token_keys(data: bytes | str, width: int = 2, pack: bool = True) -> np.ndarray | None:
+    """Each token of a common-shape input as a big-endian, zero-padded uint64.
+
+    The common shape is what every writer here emits: lines of `width`
+    nonempty tokens of printable ASCII (0x21-0x7E) split by one tab, each
+    line ending in LF except perhaps the last. Anything else, or a token over
+    8 bytes, gives None and is left to the per-line readers, which skip blank
+    lines and raise the parse errors. Distinct tokens get distinct keys, as
+    no token holds a zero byte. Without `pack` only the shape is checked, and
+    the keys are an empty array. One pass checks and packs a block of whole
+    lines at a time, so only a block's scratch is held beside the keys.
     """
     if isinstance(data, str):
         if not data.isascii():
             return None
         data = data.encode("ascii")
+    if not data:
+        return None
+    if data[-1] != 0x0A:
+        data += b"\n"  # copied, for input whose last line lacks its LF
+    keys = np.empty(width * data.count(b"\n") if pack else 0, np.uint64)
     buf = np.frombuffer(data, np.uint8)
-    if buf.size == 0 or buf.max() > 0x7E:
-        return None
-    ends = np.flatnonzero(buf < 0x21)
-    if buf[-1] != 0x0A:
-        ends = np.append(ends, buf.size)
-    seps = buf[ends[:-1]]
-    if (
-        len(ends) % 2
-        or (seps[0::2] != 0x09).any()
-        or (seps[1::2] != 0x0A).any()
-        or ends[0] == 0
-        or np.diff(ends).min(initial=2) < 2
-    ):
-        return None
-    return buf, ends
-
-
-# tokens or lines per block in the bulk packers and writers: 512 KB per
-# 8-byte scratch array
-_PACK_BLOCK = 65536
-
-
-def _token_keys(data: bytes | str) -> np.ndarray | None:
-    """Each token of a common-shape input as a big-endian, zero-padded uint64.
-
-    None if `data` does not have the common shape or a token is longer than
-    8 bytes. Distinct tokens get distinct keys, as no token holds a zero byte.
-    """
-    shape = _two_columns(data)
-    return None if shape is None else _gather_keys(*shape)
+    # words[p] is the big-endian word of the 8 bytes from byte p on. A token
+    # in the last 7 bytes takes the last word, shifted left onto its start.
+    padded = np.frombuffer(data.ljust(8, b"\0"), np.uint8)
+    words = as_strided(
+        padded[:8].view(">u8"), shape=(len(padded) - 7,), strides=(1,), writeable=False
+    )
+    lo = done = 0
+    while lo < len(data):
+        hi = data.find(b"\n", lo + _BYTE_BLOCK - 1) + 1 or len(data)
+        block = buf[lo:hi]
+        ends = np.flatnonzero(block < 0x21)
+        if (
+            block.max() > 0x7E
+            or len(ends) % width
+            or ends[0] == 0
+            or np.diff(ends).min(initial=2) < 2
+            or (block[ends].reshape(-1, width) != _SEPS[-width:]).any()
+        ):
+            return None
+        if pack:
+            start = np.append(0, ends[:-1] + 1)
+            if (ends - start).max() > 8:
+                return None
+            start += lo
+            at = np.minimum(start, len(padded) - 8)
+            word = words[at].astype(np.uint64) << ((start - at) * 8).astype(np.uint64)
+            # clear the bytes past the token's end
+            cut = ((8 - (ends + lo - start)) * 8).astype(np.uint64)
+            keys[done : done + len(ends)] = word >> cut << cut
+            done += len(ends)
+        lo = hi
+    return keys
 
 
 def _text_keys(text: bytes) -> np.ndarray | None:
@@ -340,49 +365,7 @@ def _text_keys(text: bytes) -> np.ndarray | None:
     None unless every label packs: 1-8 bytes of printable ASCII (0x21-0x7E).
     The keys compare as the labels' bytes do.
     """
-    buf = np.frombuffer(text, np.uint8)
-    if buf.size == 0:
-        return np.empty(0, np.uint64)
-    if buf.max() > 0x7E:
-        return None
-    ends = np.flatnonzero(buf == 0x0A)
-    # every byte below 0x21 is a label's LF, and no label is empty
-    if (
-        np.count_nonzero(buf < 0x21) != len(ends)
-        or ends[0] == 0
-        or np.diff(ends).min(initial=2) < 2
-    ):
-        return None
-    return _gather_keys(buf, ends)
-
-
-def _gather_keys(buf: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """The key of each token of `buf` that ends at `ends` and starts after the last.
-
-    None if a token is longer than 8 bytes.
-    """
-    if buf.size < 8:
-        buf = np.concatenate([buf, np.zeros(8 - buf.size, np.uint8)])
-    # words[p] is the big-endian word of the 8 bytes from byte p on. A token
-    # in the last 7 bytes takes the last word, shifted left onto its start.
-    words = as_strided(
-        buf[:8].view(">u8"), shape=(buf.size - 7,), strides=(1,), writeable=False
-    )
-    last = buf.size - 8
-    keys = np.empty(len(ends), np.uint64)
-    for lo in range(0, len(ends), _PACK_BLOCK):
-        end = ends[lo : lo + _PACK_BLOCK]
-        start = np.empty_like(end)
-        start[0] = ends[lo - 1] + 1 if lo else 0
-        start[1:] = end[:-1] + 1
-        if (end - start).max() > 8:
-            return None
-        at = np.minimum(start, last)
-        word = words[at].astype(np.uint64) << ((start - at) * 8).astype(np.uint64)
-        # clear the bytes past the token's end
-        cut = ((8 - (end - start)) * 8).astype(np.uint64)
-        keys[lo : lo + len(end)] = word >> cut << cut
-    return keys
+    return _token_keys(text, 1) if text else np.empty(0, np.uint64)
 
 
 def _key_bytes(keys: np.ndarray) -> np.ndarray:
@@ -433,7 +416,7 @@ def load_edgelist(
     Labels are indexed in first-appearance order; a self-loop on an otherwise
     unseen label does not create a node.
 
-    Input of the common shape (see `_two_columns`) with tab delimiters and
+    Input of the common shape (see `_token_keys`) with tab delimiters and
     labels of at most 8 bytes is parsed in bulk; every other input goes
     through the per-line loop, which alone raises the parse errors.
     """
@@ -451,8 +434,11 @@ def load_edgelist(
         # a label seen only in self-loops makes no node and takes no rank
         keys = pairs[~loops].ravel()
     del pairs, loops
-    ids, distinct = _kernels.first_appearance_ids(keys)
+    # the ids are written over the keys, once the keys are no longer read,
+    # and then narrowed to the adjacency's int32
+    ids, distinct = _kernels.first_appearance_ids(keys, out=keys.view(np.int64))
     del keys
+    ids = ids.astype(np.int32)
     n, text = len(distinct), _keys_text(distinct)
     del distinct
     return _ingest(n, text, ids[0::2], ids[1::2], lines_read, self_loops)
@@ -465,8 +451,7 @@ def _edgelist_from_lines(
     index: dict[str, int] = {}
     us: list[int] = []
     vs: list[int] = []
-    lines_read = 0
-    self_loops = 0
+    lines_read = self_loops = 0
     pairs = _line_pairs(data, newline, EdgelistParseError, delimiter, repr(delimiter))
     for _, a, b in pairs:
         lines_read += 1
@@ -480,29 +465,18 @@ def _edgelist_from_lines(
     del us, vs
     labels = list(index)
     del index
-    return _ingest(
-        len(labels), _labels_text(labels), u, v, lines_read, self_loops, labels
-    )
+    return _ingest(len(labels), _labels_text(labels), u, v, lines_read, self_loops, labels)
 
 
 def _ingest(
-    n: int,
-    text: bytes,
-    u: np.ndarray,
-    v: np.ndarray,
-    lines_read: int,
-    self_loops: int,
+    n: int, text: bytes, u: np.ndarray, v: np.ndarray, lines_read: int, self_loops: int,
     labels: list[str] | None = None,
 ) -> tuple[Graph, IngestReport]:
+    """The graph of the edges (u, v) on `n` nodes, and its report."""
     indptr, adj = _build_csr(n, u, v)
     m = len(adj) // 2
-    report = IngestReport(
-        lines_read=lines_read,
-        self_loops_dropped=self_loops,
-        duplicate_edges_dropped=lines_read - self_loops - m,
-        nodes=n,
-        edges=m,
-    )
+    duplicates = lines_read - self_loops - m
+    report = IngestReport(lines_read, self_loops, duplicates, nodes=n, edges=m)
     return Graph._of_text(indptr, adj, text, labels), report
 
 

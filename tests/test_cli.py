@@ -386,6 +386,67 @@ def test_non_utf8_input_names_its_line(tmp_path, capsys, flag):
     )
     assert not (tmp_path / "out.json").exists()
 
+
+@pytest.mark.parametrize("case", [
+    "treat-output-dir-missing", "treat-output-is-directory", "treat-sidecar-is-directory",
+    "treat-clustering-missing", "audit-clustering-missing", "audit-table-dir-missing",
+    "audit-report-dir-missing", "eval-estimated-missing", "eval-report-dir-missing",
+])
+def test_bad_path_fails_before_any_parse(tmp_path, gadget_files, monkeypatch, capsys, case):
+    # each message is the one the command gave when the path failed only at
+    # its own open, after the work; now no input is parsed first
+    g, edgelist, planted, whole = gadget_files
+    missing, nodir = tmp_path / "none.tsv", tmp_path / "no-dir" / "out"
+    (tmp_path / "out.tsv.run.json").mkdir()
+    treat = ["treat", "--edgelist", edgelist, "--mode", "wcc"]
+    audit = ["audit", "--edgelist", edgelist]
+    evaluate = ["eval", "--ground-truth", planted, "--edgelist", edgelist]
+    argv, culprit, errno_text = {
+        "treat-output-dir-missing": (
+            treat + ["--existing-clustering", whole, "--output-file", nodir], nodir,
+            "[Errno 2] No such file or directory"),
+        "treat-output-is-directory": (
+            treat + ["--existing-clustering", whole, "--output-file", tmp_path], tmp_path,
+            "[Errno 21] Is a directory"),
+        "treat-sidecar-is-directory": (
+            treat + ["--existing-clustering", whole, "--output-file", tmp_path / "out.tsv"],
+            tmp_path / "out.tsv.run.json", "[Errno 21] Is a directory"),
+        "treat-clustering-missing": (
+            treat + ["--existing-clustering", missing, "--output-file", planted], missing,
+            "[Errno 2] No such file or directory"),
+        "audit-clustering-missing": (
+            audit + ["--clustering", missing], missing, "[Errno 2] No such file or directory"),
+        "audit-table-dir-missing": (
+            audit + ["--clustering", whole, "--per-cluster-table", nodir], nodir,
+            "[Errno 2] No such file or directory"),
+        "audit-report-dir-missing": (
+            audit + ["--clustering", whole, "--output", nodir], nodir,
+            "[Errno 2] No such file or directory"),
+        "eval-estimated-missing": (
+            evaluate + ["--estimated", missing], missing, "[Errno 2] No such file or directory"),
+        "eval-report-dir-missing": (
+            evaluate + ["--estimated", whole, "--output", nodir], nodir,
+            "[Errno 2] No such file or directory"),
+    }[case]
+    loads = []
+
+    def refuse(*args, **kwargs):
+        loads.append(args)
+        raise AssertionError("an input was parsed")
+
+    monkeypatch.setattr(cli, "load_edgelist", refuse)
+    before = {p: p.read_bytes() for p in (edgelist, planted, whole)}
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"wellconn: error: {errno_text}: {str(culprit)!r}\n"
+    assert loads == []
+    # nothing was made or changed: an existing output is opened, not truncated
+    assert {p: p.read_bytes() for p in before} == before
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["net.tsv", "planted.tsv", "whole.tsv", "out.tsv.run.json"]
+    )
+
+
 class TestAudit:
     def test_audit_wcc_output_all_well(self, tmp_path, gadget_files):
         g, edgelist, planted, whole = gadget_files

@@ -295,7 +295,7 @@ class TestMembershipFallback:
                      id="conflicting-assignment"),
     ])
     def test_input_shape(self, tmp_path, raw, bulk, expected):
-        assert (clustering._two_columns(raw) is not None) == bulk
+        assert (graph._token_keys(raw, pack=False) is not None) == bulk
         loop = membership_outcome(
             raw, lambda src: clustering._membership_from_lines(src, "\n")
         )

@@ -541,6 +541,23 @@ class TestIngestFallback:
         assert g.n > 10_000
         assert peak / len(data) < 5.5, peak / len(data)
 
+    def test_bulk_ingest_memory_bound(self):
+        # a million edges of 200k labels: about 21 bytes per token at the
+        # peak, the keys, their argsort and the group heads (17 bytes) and a
+        # few arrays per label, against 35 with a sorted copy of the keys, a
+        # group per token and a new array of ids
+        rng = np.random.default_rng(11)
+        u, v = rng.integers(0, 200_000, (2, 1_000_000))
+        data = "".join(f"{a}\t{b}\n" for a, b in zip(u.tolist(), v.tolist())).encode()
+        tracemalloc.start()
+        try:
+            g, rep = w.load_edgelist(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.lines_read == 1_000_000 and g.n > 190_000
+        assert peak / 2_000_000 <= 24, peak / 2_000_000
+
     def test_csr_matches_pair_sort(self):
         # the CSR build against the plain definition: rows of the sorted,
         # distinct neighbours of each node, self-loops dropped
@@ -555,6 +572,19 @@ class TestIngestFallback:
             assert adj.dtype == np.int32 and indptr.dtype == np.int64
             assert indptr.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()
             assert adj.tolist() == [x for r in rows for x in r]
+
+    @pytest.mark.parametrize("ids", [np.int32, np.int64])
+    def test_csr_of_int32_ids_is_made_in_int64(self, ids):
+        # row * n passes 2**31 from row 30,678 on: int32 ids must not wrap
+        n = 70_000
+        rng = np.random.default_rng(12)
+        u, v = rng.integers(0, n, (2, 50_000))
+        u[:3], v[:3] = (n - 1, n - 2, 0), (n - 2, 0, n - 1)
+        expected = graph._build_csr(n, u, v)
+        indptr, adj = graph._build_csr(n, u.astype(ids), v.astype(ids))
+        assert indptr.tolist() == expected[0].tolist()
+        assert adj.tolist() == expected[1].tolist()
+        assert indptr[-1] == len(adj) > 99_000
 
     def test_csr_build_memory_bound(self):
         # one sort of the directed keys: about 34 bytes per input edge at

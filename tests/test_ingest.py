@@ -1,13 +1,17 @@
 """Bulk ingest and the packed join against the per-line loop and the dict path,
-and ingest, the join and the writer pinned on a 40k-node instance."""
+the block-wise tokenizer against the whole-buffer one it replaced, and
+ingest, the join and the writer pinned on a 40k-node instance."""
 
 import hashlib
 import io
 import os
+import random
 import tempfile
 from argparse import Namespace
 
+import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +129,137 @@ def test_bulk_readers_match_the_loop(raw):
             assert join_result(
                 lambda: clustering.join_memberships(g, OTHER_FILE, source())
             ) == join_result(lambda: dict_join(g, other, (data, newline)))
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer as it was before it went block by block: a whole-buffer shape
+# test, then a packer over blocks of 65,536 tokens
+
+
+def ref_two_columns(data):
+    if isinstance(data, str):
+        if not data.isascii():
+            return None
+        data = data.encode("ascii")
+    buf = np.frombuffer(data, np.uint8)
+    if buf.size == 0 or buf.max() > 0x7E:
+        return None
+    ends = np.flatnonzero(buf < 0x21)
+    if buf[-1] != 0x0A:
+        ends = np.append(ends, buf.size)
+    seps = buf[ends[:-1]]
+    if (
+        len(ends) % 2
+        or (seps[0::2] != 0x09).any()
+        or (seps[1::2] != 0x0A).any()
+        or ends[0] == 0
+        or np.diff(ends).min(initial=2) < 2
+    ):
+        return None
+    return buf, ends
+
+
+def ref_gather_keys(buf, ends):
+    if buf.size < 8:
+        buf = np.concatenate([buf, np.zeros(8 - buf.size, np.uint8)])
+    words = as_strided(
+        buf[:8].view(">u8"), shape=(buf.size - 7,), strides=(1,), writeable=False
+    )
+    last = buf.size - 8
+    keys = np.empty(len(ends), np.uint64)
+    for lo in range(0, len(ends), 65536):
+        end = ends[lo : lo + 65536]
+        start = np.empty_like(end)
+        start[0] = ends[lo - 1] + 1 if lo else 0
+        start[1:] = end[:-1] + 1
+        if (end - start).max() > 8:
+            return None
+        at = np.minimum(start, last)
+        word = words[at].astype(np.uint64) << ((start - at) * 8).astype(np.uint64)
+        cut = ((8 - (end - start)) * 8).astype(np.uint64)
+        keys[lo : lo + len(end)] = word >> cut << cut
+    return keys
+
+
+def ref_token_keys(data):
+    shape = ref_two_columns(data)
+    return None if shape is None else ref_gather_keys(*shape)
+
+
+def ref_text_keys(text):
+    buf = np.frombuffer(text, np.uint8)
+    if buf.size == 0:
+        return np.empty(0, np.uint64)
+    if buf.max() > 0x7E:
+        return None
+    ends = np.flatnonzero(buf == 0x0A)
+    if (
+        np.count_nonzero(buf < 0x21) != len(ends)
+        or ends[0] == 0
+        or np.diff(ends).min(initial=2) < 2
+    ):
+        return None
+    return ref_gather_keys(buf, ends)
+
+
+PIECES = ["a", "abcdefgh", "abcdefghi", "\t", "\n", "\r", " ", "\x7f", "é"]
+TOKENS = ["a", "~!", "abcdefg", "abcdefgh", "abcdefghi", "0123456789abc"]
+
+
+def tokenizer_texts(rng, width, finals=("", "\n")):
+    """Random texts: free mixes of PIECES, and lines of `width` tokens split by
+    tabs (one in ten over 8 bytes), sometimes with one piece put in, each
+    ending in one of `finals`."""
+    for _ in range(300):
+        if rng.random() < 0.3:
+            text = "".join(rng.choice(PIECES) for _ in range(rng.randrange(12)))
+        else:
+            lines = [
+                "\t".join(rng.choice(TOKENS[4:] if rng.random() < 0.1 else TOKENS[:4])
+                          for _ in range(width))
+                for _ in range(rng.randrange(1, 8))
+            ]
+            text = "\n".join(lines) + rng.choice(finals)
+            if rng.random() < 0.3:
+                at = rng.randrange(len(text) + 1)
+                text = text[:at] + rng.choice(PIECES) + text[at:]
+        yield text
+
+
+def same_keys(got, expected) -> bool:
+    if got is None or expected is None:
+        return got is expected
+    return got.dtype == np.uint64 and got.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, graph._BYTE_BLOCK])
+def test_token_keys_match_the_whole_buffer_tokenizer(monkeypatch, block):
+    monkeypatch.setattr(graph, "_BYTE_BLOCK", block)
+    rng = random.Random(block)
+    for text in tokenizer_texts(rng, 2):
+        for data in (text.encode(), text):
+            assert same_keys(graph._token_keys(data), ref_token_keys(data)), data
+            shaped = graph._token_keys(data, pack=False)
+            assert (shaped is not None) == (ref_two_columns(data) is not None), data
+            assert shaped is None or len(shaped) == 0
+    # a graph's text: labels each ending in LF, or none at all
+    for text in tokenizer_texts(rng, 1, finals=("\n",)):
+        data = text.encode() if text.endswith("\n") else b""
+        assert same_keys(graph._text_keys(data), ref_text_keys(data)), data
+
+
+def test_membership_of_long_tokens_takes_the_bulk_split(monkeypatch):
+    # the common shape with 9-byte and longer tokens does not pack, and still
+    # skips the per-line loop
+    def refuse(*args):
+        raise AssertionError("the per-line loop was taken")
+
+    monkeypatch.setattr(clustering, "_membership_from_lines", refuse)
+    data = b"abcdefghi\tx\nb\t0123456789abc\nabcdefghi\tx"
+    assert graph._token_keys(data) is None
+    assert list(w.read_membership(data).items()) == [
+        ("abcdefghi", "x"), ("b", "0123456789abc")
+    ]
 
 
 # The 40k-node tier of the criterion-10 generator. The pins were recorded

@@ -60,11 +60,19 @@ def reference_first_appearance_ids(keys):
 @example(np.array([], np.int64))
 @example(np.array([], np.uint64))
 def test_first_appearance_ids_match_unique(keys):
-    ids, distinct = _kernels.first_appearance_ids(keys)
     expected_ids, expected_distinct = reference_first_appearance_ids(keys)
-    assert ids.dtype == np.int64 and distinct.dtype == keys.dtype
-    assert ids.tolist() == expected_ids.tolist()
-    assert distinct.tolist() == expected_distinct.tolist()
+    for block in (1, 3, _kernels._RANK_BLOCK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernels, "_RANK_BLOCK", block)
+            ids, distinct = _kernels.first_appearance_ids(keys)
+            # the ids written over a copy of the keys, as the edgelist's are
+            own = keys.copy()
+            shared = _kernels.first_appearance_ids(own, out=own.view(np.int64))
+        assert ids.dtype == np.int64 and distinct.dtype == keys.dtype
+        assert ids.tolist() == expected_ids.tolist()
+        assert distinct.tolist() == expected_distinct.tolist()
+        assert shared[0].tolist() == expected_ids.tolist()
+        assert shared[1].tolist() == expected_distinct.tolist()
 
 
 def union_smaller(nv, pairs):
@@ -166,10 +174,25 @@ def test_component_labels_in_small_blocks(graph, block):
     assert (a.tolist(), b.tolist()) == before
 
 
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(graphs(), st.sampled_from([1, 3, 64]))
+def test_component_labels_of_int32_edges(graph, block):
+    # int32 edges, as the first split gives them, label as int64 ones do
+    n, edges = graph
+    a, b = (np.array(col) for col in np.array(edges, np.int64).reshape(-1, 2).T)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "_LABEL_BLOCK", block)
+        wide = _kernels.component_labels(n, a, b)
+        narrow = _kernels.component_labels(n, a.astype(np.int32), b.astype(np.int32))
+    assert narrow.tolist() == wide.tolist()
+
+
 def test_first_split_memory_bound():
     # the kernel reads the caller's edge arrays and relabels block by block
-    # into two of its own: about 41 bytes per edge at the peak, against 50
-    # when its first round copied the edge arrays whole, four times
+    # into two of its own, all int32 as the adjacency is: about 24 bytes per
+    # edge at the peak, against 41 with int64 edges and 50 when its first
+    # round copied the edge arrays whole, four times
     n, m, size = 20000, 100000, 2000
     rng = np.random.default_rng(9)
     u = rng.integers(0, n, m)
@@ -182,7 +205,7 @@ def test_first_split_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / g.m <= 45
+    assert peak / g.m <= 30, peak / g.m
 
 
 @st.composite
