@@ -40,10 +40,10 @@ threads; no cluster's work calls BLAS.
 from __future__ import annotations
 
 import heapq
-import logging
 import os
 import pickle
 import signal
+import sys
 
 import numpy as np
 
@@ -52,7 +52,26 @@ from .clustering import Clustering
 from .errors import ContractViolation, TreatmentError
 from .graph import Graph, split_by_label
 
-log = logging.getLogger("wellconn")
+
+class _Log:
+    """The "wellconn" logger's methods, looked up once `logging` is loaded.
+
+    Until then no handler can take a record, so a call does nothing: a run
+    that asks for no log never loads `logging`.
+    """
+
+    def __getattr__(self, name: str):
+        logging = sys.modules.get("logging")
+        if logging is None:
+            return _ignore
+        return getattr(logging.getLogger("wellconn"), name)
+
+
+def _ignore(*args, **kwargs) -> None:
+    pass
+
+
+log = _Log()
 
 # CSR entries of mapped work per worker. A second worker paid for itself,
 # whole process, from about 200k entries on dense clusters with many cuts,

@@ -11,13 +11,21 @@ min cut is then d. Every other connected cluster goes through
 `_engine.map_clusters`, serially or on forked worker processes: one of
 minimum degree at most floor(f(size)) + 1 has its exact min cut read from
 the forest certificate (`_kernels.forest_certificate`), and the solver takes
-the rest and every cluster the certificate leaves undecided. The verdicts
-are held as columns. The report does not depend on the worker count.
+the rest and every cluster the certificate leaves undecided. The report
+does not depend on the worker count.
+
+The verdicts are held as numpy columns (`ClusterAudits`), with each
+distinct size's bound computed once by `ThresholdSpec.value`. The document's
+`clusters` array and the per-cluster table are written from the columns in
+blocks of a few hundred records, each block a set of NUL-padded byte rows
+(`graph._lines`), so no Python object is made per cluster on the way out.
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Sequence
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +47,7 @@ from .clustering import (
     node_coverage,
 )
 from .errors import ContractViolation
-from .graph import Graph
+from .graph import Graph, _digits, _lines
 
 CATEGORIES = ("well", "poor", "disconnected", "singleton", "skipped")
 
@@ -60,38 +68,136 @@ class ClusterAudit(NamedTuple):
 
 
 class ClusterAudits(Sequence):
-    """Every cluster's verdict, held as one list per field of `ClusterAudit`.
+    """Every cluster's verdict, held as numpy columns.
 
-    An item is that cluster's `ClusterAudit`, made when it is read; `rows`
-    and `to_dicts` read the columns without making one.
+    They are each cluster's size, whether it is connected, its min cut (-1
+    where none was taken), its category's index in `CATEGORIES` and its
+    at_boundary flag; its bound is an index into `bounds`, the values of
+    `ThresholdSpec.value` at the distinct sizes. An item is that cluster's
+    `ClusterAudit` of Python values, made when it is read; `rows` and
+    `to_dicts` make them without the namedtuple, and `json_blocks` and
+    `table_blocks` write the columns as text without making them.
     """
 
-    def __init__(self, *columns: list):
-        self._columns = columns
+    def __init__(
+        self, size: np.ndarray, connected: np.ndarray, cut: np.ndarray,
+        code: np.ndarray, at_boundary: np.ndarray, bounds: list, bound_of: np.ndarray,
+    ):
+        self.size, self.connected, self.cut = size, connected, cut
+        self.code, self.at_boundary = code, at_boundary
+        self.bounds, self.bound_of = bounds, bound_of
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self.size)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        return ClusterAudit(*(column[i] for column in self._columns))
+        i = range(len(self))[i]
+        cut = int(self.cut[i])
+        return ClusterAudit(
+            i, int(self.size[i]), bool(self.connected[i]), None if cut < 0 else cut,
+            CATEGORIES[self.code[i]], self.bounds[self.bound_of[i]],
+            bool(self.at_boundary[i]),
+        )
+
+    def __iter__(self):
+        return map(ClusterAudit._make, self.rows())
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, ClusterAudits):
-            return self._columns == other._columns
-        return list(self) == other
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self.rows()) == list(other)
 
     def rows(self):
         """Each cluster's fields, in `ClusterAudit`'s order, as tuples."""
-        return zip(*self._columns)
+        bounds = self.bounds
+        return zip(
+            range(len(self)),
+            self.size.tolist(),
+            self.connected.tolist(),
+            [None if cut < 0 else cut for cut in self.cut.tolist()],
+            [CATEGORIES[code] for code in self.code.tolist()],
+            [bounds[j] for j in self.bound_of.tolist()],
+            self.at_boundary.tolist(),
+        )
 
     def to_dicts(self) -> list[dict]:
         """Each cluster's `ClusterAudit.to_dict()`."""
         return [dict(zip(_FIELDS, row)) for row in self.rows()]
 
+    def json_blocks(self, level: int):
+        """The records as a JSON array, a member at `level`, in UTF-8 blocks.
+
+        The text is that of `to_dicts()` by `json.JSONEncoder(indent=2,
+        sort_keys=True)` at that level; a block holds `_BLOCK` records.
+        """
+        if not len(self):
+            yield b"[]"
+            return
+        close = b"\n" + b"  " * level
+        pad, inner = close + b"  ", close + b"    "
+        # every record opens with ",{", and each of its keys, sorted, starts
+        # a line of its own; the first record's comma becomes the "["
+        names = sorted(_FIELDS)
+        keys = [b'%s%s"%s": ' % (b"," if k else b"," + pad + b"{", inner, name.encode())
+                for k, name in enumerate(names)]
+        order = [_FIELDS.index(name) for name in names]
+        blocks = self._blocks(
+            (b"false", b"true"), [b'"%s"' % cat.encode() for cat in CATEGORIES],
+            [json.dumps(bound).encode() for bound in self.bounds], b"null",
+        )
+        for lo, fields in blocks:
+            data = _lines(*chain.from_iterable(zip(keys, map(fields.__getitem__, order))),
+                          pad + b"}")
+            yield b"[" + data[1:] if lo == 0 else data
+        yield close + b"]"
+
+    def table_blocks(self):
+        """The per-cluster table in UTF-8 blocks: a header of `ClusterAudit`'s
+        fields, then one line of tab-separated Python reprs per cluster, with
+        an empty min cut where none was taken; a block holds `_BLOCK` lines."""
+        yield "\t".join(_FIELDS).encode() + b"\n"
+        blocks = self._blocks(
+            (b"False", b"True"), [cat.encode() for cat in CATEGORIES],
+            [repr(bound).encode() for bound in self.bounds], b"",
+        )
+        for _, fields in blocks:
+            yield _lines(*chain.from_iterable(zip(fields, _TABS)))
+
+    def _blocks(self, booleans, categories, bounds, none: bytes):
+        """Each block's first row and its fields, in `ClusterAudit`'s order, as
+        NUL-padded text rows: `booleans` for False and True, the text of
+        each category and of each bound, and `none` for a min cut not taken."""
+        booleans, categories, bounds = map(_rows_of, (booleans, categories, bounds))
+        missing_text = _rows_of((b"", none))
+        for lo in range(0, len(self), _BLOCK):
+            rows = slice(lo, lo + _BLOCK)
+            cut = self.cut[rows]
+            missing = cut < 0
+            digits = _digits(np.maximum(cut, 0))
+            digits[missing] = 0
+            yield lo, (
+                _digits(np.arange(lo, lo + len(cut))),
+                _digits(self.size[rows]),
+                booleans[self.connected[rows].view(np.uint8)],
+                np.hstack([digits, missing_text[missing.view(np.uint8)]]),
+                categories[self.code[rows]],
+                bounds[self.bound_of[rows]],
+                booleans[self.at_boundary[rows].view(np.uint8)],
+            )
+
 
 _FIELDS = ClusterAudit._fields
+_TABS = (b"\t",) * (len(_FIELDS) - 1) + (b"\n",)
+# records per block of `json_blocks` and `table_blocks`: about 0.1 MB of rows
+_BLOCK = 512
+
+
+def _rows_of(texts) -> np.ndarray:
+    """Each of the byte strings `texts` as a NUL-padded uint8 row."""
+    array = np.array(texts, "S")
+    return array.view(np.uint8).reshape(len(array), array.itemsize)
 
 
 class ConnectivityReport(NamedTuple):
@@ -109,6 +215,11 @@ class ConnectivityReport(NamedTuple):
     mincut_size_cap: int | None = None
 
     def to_dict(self) -> dict:
+        return {**self._payload(), "clusters": self.clusters.to_dicts()}
+
+    def _payload(self) -> dict:
+        """`to_dict()` with the clusters left as their columns, which a
+        document writer takes through `ClusterAudits.json_blocks`."""
         return {
             "graph": {
                 "nodes": self.graph_nodes,
@@ -121,7 +232,7 @@ class ConnectivityReport(NamedTuple):
             "proportions": dict(self.proportions),
             "node_coverage": self.node_coverage,
             "cluster_stats": self.stats._asdict(),
-            "clusters": self.clusters.to_dicts(),
+            "clusters": self.clusters,
         }
 
 
@@ -178,25 +289,19 @@ def connectivity_audit(
     cut[ids] = [value for value, _ in results]
     log_settled("audit clusters", settled)
     # the bound once per distinct size, as t.value returns it
-    distinct, size_of = np.unique(sizes, return_inverse=True)
-    bounds = np.array([t.value(size) for size in distinct.tolist()], object)[size_of]
-    bound = bounds.astype(np.float64)
+    distinct, bound_of = np.unique(sizes, return_inverse=True)
+    bounds = [t.value(size) for size in distinct.tolist()]
+    bound = np.array(bounds, np.float64)[bound_of]
     has_cut = cut >= 0
     code = np.select(
         [sizes == 1, ~connected, ~has_cut, cut > bound],
         [CATEGORIES.index(cat) for cat in ("singleton", "disconnected", "skipped", "well")],
         CATEGORIES.index("poor"),
-    )
+    ).astype(np.uint8)
     counts = dict(zip(CATEGORIES, np.bincount(code, minlength=len(CATEGORIES)).tolist()))
-    min_cuts = np.where(has_cut, cut, None).tolist()
     columns = ClusterAudits(
-        list(range(len(sizes))),
-        sizes.tolist(),
-        connected.tolist(),
-        min_cuts,
-        np.array(CATEGORIES, object)[code].tolist(),
-        bounds.tolist(),
-        (has_cut & (np.abs(cut - bound) < 1e-9)).tolist(),
+        sizes, connected, cut, code, has_cut & (np.abs(cut - bound) < 1e-9),
+        bounds, bound_of,
     )
     non_singleton = sum(counts[cat] for cat in CATEGORIES if cat != "singleton")
     proportions = {

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 import time
@@ -42,6 +41,7 @@ else:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import __version__
+from ._engine import log
 from .clustering import (
     ThresholdSpec,
     admit,
@@ -58,8 +58,8 @@ from .graph import (
     induced_subgraph,
     load_edgelist,
     sha256,
+    write_bytes,
     write_edgelist,
-    write_lines,
 )
 from .treatments import (
     cc_treatment_with_trace,
@@ -67,8 +67,6 @@ from .treatments import (
     parse_clusterer,
     wcc_treatment,
 )
-
-log = logging.getLogger("wellconn")
 
 
 def _later(module: str, name: str):
@@ -124,31 +122,30 @@ def _sha256(path: str | Path) -> str:
 # `json.JSONEncoder(indent=2, sort_keys=True)`, whose pure-Python indented
 # encoder is several times slower.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n", ": "))
-_RECORDS_PER_BLOCK = 2048
 
 
 def _flat(value) -> bool:
-    """A container whose members hold no member of their own."""
+    """A container whose members hold no member of their own, and none of
+    which writes its own text (`json_blocks`)."""
     members = value.values() if isinstance(value, dict) else value
-    return not any(isinstance(m, (dict, list, tuple)) and m for m in members)
-
-
-def _records(value) -> bool:
-    """A list of non-empty dicts, none of whose values is a container."""
-    if set(map(type, value)) != {dict} or not all(value):
-        return False
-    kinds = set(map(type, chain.from_iterable(map(dict.values, value))))
-    return not any(issubclass(kind, (dict, list, tuple)) for kind in kinds)
+    return not any(
+        isinstance(m, (dict, list, tuple)) and m or hasattr(m, "json_blocks")
+        for m in members
+    )
 
 
 def _indented(value, level: int):
     """The text of `value` as an indented member at `level`, in chunks.
 
-    One C call encodes a flat container, and one per block a list of flat
-    records, whose boundaries, the only "},\n{" in the text, open and close
-    their own lines. Only containers of containers are walked here; their
-    keys are str, as in every document wellconn writes.
+    One C call encodes a flat container. A value with a `json_blocks(level)`
+    method, such as the audit's per-cluster columns, gives its own text as
+    UTF-8 blocks; every other chunk is str. Only containers of containers
+    are walked here; their keys are str, as in every document wellconn
+    writes.
     """
+    if hasattr(value, "json_blocks"):
+        yield from value.json_blocks(level)
+        return
     if not isinstance(value, (dict, list, tuple)):
         yield _ENCODER.encode(value)
         return
@@ -163,14 +160,6 @@ def _indented(value, level: int):
             yield f"{',' if i else '{'}{pad}{_ENCODER.encode(key)}: "
             yield from _indented(value[key], level + 1)
         yield close + "}"
-    elif _records(value):
-        inner = pad + "  "
-        for i in range(0, len(value), _RECORDS_PER_BLOCK):
-            text = _ENCODER.encode(value[i : i + _RECORDS_PER_BLOCK])
-            text = text[2:-2].replace("\n", inner).replace(
-                "}," + inner + "{", pad + "}," + pad + "{" + inner)
-            yield f"{',' if i else '['}{pad}{{{inner}{text}{pad}}}"
-        yield close + "]"
     else:
         for i, item in enumerate(value):
             yield f"{',' if i else '['}{pad}"
@@ -180,16 +169,17 @@ def _indented(value, level: int):
 
 def _write_document(target: str | None, manifest: dict, payload: dict) -> None:
     doc = {"manifest": manifest, "payload": payload}
-    # written as it is encoded: the whole text of a large audit would set the
-    # command's peak memory
-    text = chain(_indented(doc, 0), ["\n"])
+    # each chunk is written as it is made: the whole text of a large audit
+    # would set the command's peak memory
+    chunks = chain(_indented(doc, 0), ["\n"])
+    blocks = (c.encode("utf-8") if isinstance(c, str) else c for c in chunks)
     if target in (None, "-"):
         # flushed here, so that a stream that cannot take the document fails
         # inside main's error handling
-        write_lines(sys.stdout, text)
+        write_bytes(sys.stdout, blocks)
         sys.stdout.flush()
     else:
-        write_lines(target, text)
+        write_bytes(target, blocks)
 
 
 # the options that name input files; main digests each one given before the
@@ -235,6 +225,13 @@ def _manifest(subcommand: str, inputs: dict, options: dict, started: float) -> d
 
 
 def _setup_logging(log_file: str | None, log_level: int) -> None:
+    # `logging` is loaded only for a log; loaded already, it is set up as
+    # for a log of nothing, in case an earlier call in this process set a
+    # handler
+    if log_level <= 0 and "logging" not in sys.modules:
+        return
+    import logging
+
     logger = logging.getLogger("wellconn")
     for handler in list(logger.handlers):
         logger.removeHandler(handler)
@@ -323,23 +320,14 @@ def _cmd_audit(args):
         processes=args.num_processors, mincut_size_cap=args.mincut_cap,
     )
     if args.per_cluster_table:
-        header = (
-            "cluster_id\tsize\tconnected\tmin_cut\tcategory"
-            "\tthreshold_bound\tat_boundary\n"
-        )
-        rows = (
-            f"{cid}\t{size}\t{connected}\t{'' if cut is None else cut}"
-            f"\t{category}\t{bound!r}\t{at_boundary}\n"
-            for cid, size, connected, cut, category, bound, at_boundary
-            in report.clusters.rows()
-        )
-        write_lines(args.per_cluster_table, chain([header], rows))
+        write_bytes(args.per_cluster_table, report.clusters.table_blocks())
     options = {
         "threshold": str(threshold),
         "num_processors": args.num_processors,
         "mincut_cap": args.mincut_cap,
     }
-    return args.output, options, report.to_dict()
+    # the clusters stay columns, which the document writes block by block
+    return args.output, options, report._payload()
 
 
 def _universe_for_eval(args):
@@ -721,7 +709,8 @@ def run() -> NoReturn:
     such as argparse's `--help` or `--version` text, is reported as an error.
     """
     code = main()
-    logging.shutdown()
+    if "logging" in sys.modules:
+        sys.modules["logging"].shutdown()
     try:
         sys.stdout.flush()
     except OSError as exc:

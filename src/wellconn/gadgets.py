@@ -161,8 +161,14 @@ def _planted_partition(
     want = _binomial_count(rng, cross_pairs, p_out)
     keys.append(_sample_pairs(rng, n, want, lambda u, v: assignment[u] != assignment[v]))
 
+    # each step frees what it read, as the keys and pairs are the command's
+    # peak: the block keys, their join, and the (m, 2) pairs made from it
     all_keys = np.concatenate(keys)
-    g = Graph.from_edges(n, np.stack([all_keys // n, all_keys % n], axis=1))
+    del keys
+    pairs = np.empty((len(all_keys), 2), np.int64)
+    np.divmod(all_keys, n, out=(pairs[:, 0], pairs[:, 1]))
+    del all_keys
+    g = Graph.from_edges(n, pairs)
     return g, Clustering.from_assignment(assignment)
 
 

@@ -133,8 +133,10 @@ class Graph:
         arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
-        u = arr[:, 0].astype(np.int64)
-        v = arr[:, 1].astype(np.int64)
+        if arr.dtype.kind != "i":
+            arr = arr.astype(np.int64)
+        # integer columns are read in place: `_build_csr` makes int64 keys
+        u, v = arr[:, 0], arr[:, 1]
         if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= num_nodes):
             raise ContractViolation("edge endpoint out of range")
         indptr, adj = _build_csr(num_nodes, u, v)
@@ -377,11 +379,12 @@ def _lines(*fields: np.ndarray | bytes) -> bytes:
     """Lines of the fields side by side, with every NUL byte dropped.
 
     A field is a (lines, width) uint8 matrix, or bytes that every line holds;
-    the first is a matrix. Packed labels hold no NUL, so a matrix may pad
+    one at least is a matrix. Packed labels hold no NUL, so a matrix may pad
     with them.
     """
     columns = [np.frombuffer(f, np.uint8) if isinstance(f, bytes) else f for f in fields]
-    rows = np.empty((len(fields[0]), sum(c.shape[-1] for c in columns)), np.uint8)
+    n = next(len(c) for c in columns if c.ndim == 2)
+    rows = np.empty((n, sum(c.shape[-1] for c in columns)), np.uint8)
     at = 0
     for column in columns:
         rows[:, at : at + column.shape[-1]] = column
@@ -496,12 +499,16 @@ def write_lines(target: str | Path | IO, lines: Iterable[str]) -> None:
 def _write_blocks(
     target: str | Path | IO, n: int, block: Callable[[slice], bytes]
 ) -> None:
-    """Write `block(rows)` for each slice of [0, n) of `_PACK_BLOCK` rows.
+    """`write_bytes` of `block(rows)` for each slice of [0, n) of
+    `_PACK_BLOCK` rows. The slices bound the bulk writers' scratch."""
+    write_bytes(
+        target, (block(slice(lo, lo + _PACK_BLOCK)) for lo in range(0, n, _PACK_BLOCK))
+    )
 
-    Each block is UTF-8 text, written to a path as it is, or decoded to an
-    open text stream. The slices bound the bulk writers' scratch.
-    """
-    blocks = (block(slice(lo, lo + _PACK_BLOCK)) for lo in range(0, n, _PACK_BLOCK))
+
+def write_bytes(target: str | Path | IO, blocks: Iterable[bytes]) -> None:
+    """Write each UTF-8 block as it comes: to a path as it is, or decoded to
+    an open text stream."""
     if not isinstance(target, (str, Path)):
         for data in blocks:
             target.write(data.decode("utf-8"))

@@ -30,7 +30,6 @@ optimum, as before.
 
 from __future__ import annotations
 
-import logging
 import os
 from typing import NamedTuple
 
@@ -43,6 +42,7 @@ from ._engine import (
     BY_SOLVER,
     STALLED,
     first_split,
+    log,
     log_settled,
     map_clusters,
 )
@@ -60,8 +60,6 @@ from .errors import (
     TreatmentError,
 )
 from .graph import Graph, split_by_label, write_edgelist
-
-log = logging.getLogger("wellconn")
 
 
 class TreatmentTrace(NamedTuple):

@@ -1,13 +1,17 @@
 """Connectivity audits: categories, proportions, deltas, serialization."""
 
+import json
 import random
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wellconn as w
-from wellconn import _kernels
+from wellconn import _kernels, audit, cli
+from wellconn.graph import write_bytes
 from wellconn.mincut import BRUTE_FORCE_MAX_NODES
 from conftest import (
     clique_edges,
@@ -289,3 +293,81 @@ class TestDelta:
         with pytest.raises(w.ContractViolation):
             w.audit_delta(r1, r2)
 
+
+
+# a cluster's columns: size, connected, min cut (None for none), category
+# code and at_boundary
+records = st.lists(st.tuples(
+    st.integers(1, 10**7), st.booleans(), st.none() | st.integers(0, 10**7),
+    st.integers(0, len(audit.CATEGORIES) - 1), st.booleans(),
+), max_size=12)
+
+
+def audits_of(threshold: str, rows) -> audit.ClusterAudits:
+    """The columns of `rows` under `threshold`, as `connectivity_audit` keeps them."""
+    t = w.ThresholdSpec.parse(threshold)
+    size, connected, cut, code, at_boundary = list(zip(*rows)) or [()] * 5
+    size = np.array(size, np.int64)
+    distinct, bound_of = np.unique(size, return_inverse=True)
+    return audit.ClusterAudits(
+        size, np.array(connected, bool),
+        np.array([-1 if c is None else c for c in cut], np.int64),
+        np.array(code, np.uint8), np.array(at_boundary, bool),
+        [t.value(s) for s in distinct.tolist()], bound_of,
+    )
+
+
+def table_as_printed(audits) -> bytes:
+    """The per-cluster table as the per-row f-strings wrote it."""
+    header = (
+        "cluster_id\tsize\tconnected\tmin_cut\tcategory\tthreshold_bound\tat_boundary\n"
+    )
+    return (header + "".join(
+        f"{cid}\t{size}\t{connected}\t{'' if cut is None else cut}"
+        f"\t{category}\t{bound!r}\t{at_boundary}\n"
+        for cid, size, connected, cut, category, bound, at_boundary in audits.rows()
+    )).encode()
+
+
+def assert_written_as_encoded(audits, tmp_path):
+    """The document and the table from the columns equal the reference texts."""
+    payload = {"clusters": audits, "threshold": "t"}
+    cli._write_document(tmp_path / "doc.json", {"run": 1}, payload)
+    expected = json.JSONEncoder(indent=2, sort_keys=True).encode({
+        "manifest": {"run": 1}, "payload": {**payload, "clusters": audits.to_dicts()},
+    }) + "\n"
+    assert (tmp_path / "doc.json").read_text() == expected
+    write_bytes(tmp_path / "table.tsv", audits.table_blocks())
+    assert (tmp_path / "table.tsv").read_bytes() == table_as_printed(audits)
+
+
+class TestWriters:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.sampled_from(["3", "2.5log10", "connectivity"]), records,
+           st.sampled_from([1, 2, 3, 512]))
+    @example("2.5log10", [], 1)
+    @example("connectivity", [(1, True, None, 3, False)], 512)
+    @example("3", [(4, True, None, 4, False)] * 3, 2)
+    def test_columns_are_written_as_encoded(self, tmp_path_factory, threshold, rows, block):
+        audits = audits_of(threshold, rows)
+        items = [audits[i] for i in range(len(audits))]
+        assert items == list(audits.rows()) == list(audits)
+        assert {type(v) for item in items for v in item} <= {int, bool, type(None), str, float}
+        assert audits.to_dicts() == [item.to_dict() for item in items]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(audit, "_BLOCK", block)  # records span blocks
+            assert_written_as_encoded(audits, tmp_path_factory.mktemp("w"))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(["1log10", "2.5log10", "connectivity"]),
+           st.none() | st.integers(0, 12))
+    def test_audits_are_written_as_encoded(self, tmp_path_factory, seed, threshold, cap):
+        rng = random.Random(seed)
+        g = random_graph_any(rng, rng.randint(1, 40), rng.uniform(0.05, 0.5))
+        c = random_clustering(rng, g.n, kmax=6)
+        report = w.connectivity_audit(
+            g, c, w.ThresholdSpec.parse(threshold), mincut_size_cap=cap
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(audit, "_BLOCK", 2)
+            assert_written_as_encoded(report.clusters, tmp_path_factory.mktemp("w"))

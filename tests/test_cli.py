@@ -1178,10 +1178,9 @@ def random_document(rng, depth: int = 0):
     ]
 
 
-def test_documents_are_encoded_as_by_the_indented_encoder(tmp_path, monkeypatch):
+def test_documents_are_encoded_as_by_the_indented_encoder(tmp_path):
     from wellconn import cli
 
-    monkeypatch.setattr(cli, "_RECORDS_PER_BLOCK", 2)  # records span blocks
     rng = np.random.default_rng(5)
     reference = json.JSONEncoder(indent=2, sort_keys=True)
     for i in range(2000):

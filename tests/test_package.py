@@ -36,11 +36,12 @@ PUBLIC_NAMES = [
 
 # modules that treat, audit and eval never run; numpy.ma is loaded by a bare
 # np.unique(x), which takes a hash path in numpy 2.4, fractions (which
-# loads decimal) by exact scores that need only int / int, and _hashlib
-# (OpenSSL) by a digest of inputs this small
+# loads decimal) by exact scores that need only int / int, _hashlib
+# (OpenSSL) by a digest of inputs this small, and logging by a run that
+# asks for no log
 UNUSED_BY_TREAT_AUDIT_EVAL = (
     "wellconn.dl", "wellconn.gadgets", "wellconn.mincut", "subprocess", "shlex",
-    "numpy.ma", "fractions", "decimal", "_hashlib",
+    "numpy.ma", "fractions", "decimal", "_hashlib", "logging",
 )
 
 # modules that some command loads and others must not
